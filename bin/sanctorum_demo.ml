@@ -956,7 +956,9 @@ let fleet_cmd =
              of every cluster<->node link: comma-separated $(b,class:count) \
              terms over $(b,drop), $(b,dup), $(b,corrupt), $(b,delay), \
              $(b,reorder), $(b,part), plus explicit partitions \
-             $(b,part\\@START+LEN) in control-plane ticks; $(b,all) is a \
+             $(b,part\\@START+LEN) in control-plane ticks counted from the \
+             first placed batch (seeded $(b,part) windows use the absolute \
+             tick); $(b,all) is a \
              preset. Corrupted traffic must be caught by the per-node HMAC; \
              lost traffic by retransmit; a partitioned node is fenced, its \
              jobs migrate, and it rejoins only via re-attestation + rekey.")

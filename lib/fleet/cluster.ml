@@ -185,6 +185,15 @@ let run cfg =
   let fleet_hist = Tel.Metrics.histogram metrics "fleet.quantum.cycles" in
   let drbg = C.Drbg.create ~seed:(cfg.seed ^ "/cluster") in
   let tick = ref 0 in
+  (* Tick of the first batch placement, -1 until then. The downlink's
+     explicit [part@] windows count from it, so such a window is timed
+     against the work it is meant to hit rather than against however
+     long the joins took: [part@0+LEN] always blacks out the first
+     batch in flight, however fast the shards compute. Before any
+     batch that clock reads -1, inside no window. Seeded [part:N]
+     windows stay on the absolute tick, so they can still land while
+     nodes are joining. *)
+  let work_origin = ref (-1) in
   let progress = ref false in
   let t0 = Unix.gettimeofday () in
   (* -------------------------------------------------------------- *)
@@ -231,6 +240,8 @@ let run cfg =
             ~seed:(Rng.next (Rng.of_string (shard_seed cfg i ^ "/net-down")))
             ~spec:cfg.net ~horizon:cfg.net_horizon
             ~clock:(fun () -> !tick)
+            ~window_clock:(fun () ->
+              if !work_origin < 0 then -1 else !tick - !work_origin)
             ~corrupt:Node.corrupt_to_node ()
         in
         let session =
@@ -535,6 +546,7 @@ let run cfg =
       end
       else begin
         progress := true;
+        if !work_origin < 0 then work_origin := !tick;
         incr generations;
         let gen = !generations in
         let room = Array.make cfg.shards batch_cap in

@@ -71,7 +71,10 @@ type config = {
   rogue : int list;  (** shards presenting corrupted evidence *)
   net : Netfault.spec;
       (** link-fault spec, armed (independently seeded) on both
-          directions of every cluster<->node link *)
+          directions of every cluster<->node link; partitions are
+          downlink only, seeded windows on the absolute cluster tick,
+          explicit [part\@] windows counted from the first placed
+          batch *)
   net_horizon : int;  (** send-index window the link faults land in *)
 }
 

@@ -104,10 +104,12 @@ type action = A_drop | A_dup | A_corrupt | A_delay of int | A_reorder of int
 type 'a link = {
   chan : 'a Channel.t;
   clock : unit -> int;
+  window_clock : unit -> int;
   corrupt_fn : 'a -> 'a;
   rng : Rng.t;  (* consumed only by reorder release permutations *)
   sched : (int, action) Hashtbl.t;  (* send index -> action (first wins) *)
-  windows : (int * int) list;
+  seeded : (int * int) list;  (* seeded [Part] windows, on [clock] *)
+  windows : (int * int) list;  (* explicit windows, on [window_clock] *)
   mutable sent : int;
   mutable holds : (int * int * 'a) list;  (* (release_at, order, msg) *)
   mutable hold_order : int;
@@ -126,7 +128,7 @@ type 'a link = {
    schedule is a pure function of (seed, spec, horizon). *)
 let plan rng ~horizon (spec : spec) =
   let sched = Hashtbl.create 16 in
-  let windows = ref spec.windows in
+  let windows = ref [] in
   List.iter
     (fun (cls, count) ->
       for _ = 1 to count do
@@ -153,17 +155,20 @@ let plan rng ~horizon (spec : spec) =
     spec.counts;
   (sched, !windows)
 
-let create ~chan ~seed ~spec ~horizon ~clock ~corrupt () =
+let create ~chan ~seed ~spec ~horizon ~clock ?(window_clock = clock) ~corrupt
+    () =
   if horizon < 1 then invalid_arg "Netfault.create: horizon must be >= 1";
   let rng = Rng.create ~seed in
-  let sched, windows = plan rng ~horizon spec in
+  let sched, seeded = plan rng ~horizon spec in
   {
     chan;
     clock;
+    window_clock;
     corrupt_fn = corrupt;
     rng;
     sched;
-    windows;
+    seeded;
+    windows = spec.windows;
     sent = 0;
     holds = [];
     hold_order = 0;
@@ -182,8 +187,9 @@ let deliver t m =
   Channel.send t.chan m
 
 let partitioned t =
-  let now = t.clock () in
-  List.exists (fun (start, len) -> now >= start && now < start + len) t.windows
+  let inside now (start, len) = now >= start && now < start + len in
+  List.exists (inside (t.clock ())) t.seeded
+  || List.exists (inside (t.window_clock ())) t.windows
 
 (* Fisher–Yates over the collected messages, drawn from the link's own
    stream — the permutation is part of the replayable schedule. *)

@@ -82,12 +82,15 @@ val create :
   spec:spec ->
   horizon:int ->
   clock:(unit -> int) ->
+  ?window_clock:(unit -> int) ->
   corrupt:('a -> 'a) ->
   unit ->
   'a link
 (** [horizon] is the send-index window the per-message faults are drawn
     in; seeded partition windows are drawn in clock units scaled from
-    it. Raises [Invalid_argument] if [horizon < 1]. *)
+    it and timed on [clock]. The spec's explicit windows are timed on
+    [window_clock] (default [clock]), so a caller can count them from
+    an origin of its own. Raises [Invalid_argument] if [horizon < 1]. *)
 
 val send : 'a link -> 'a -> unit
 (** Offer one message to the faulted path. *)

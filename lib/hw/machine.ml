@@ -99,8 +99,18 @@ type sb_ctx = {
   mutable sx_epoch : int;  (* [phys_epoch] at entry *)
   mutable sx_gen : int;  (* [Tlb.generation] at entry *)
   mutable sx_fuel : int;
+  mutable sx_deadline : int;
+      (* cycles left before the armed timer is due, [max_int] when no
+         timer is armed: the block ends once [sx_cycles] reaches it *)
   mutable sx_exit_pc : int64;
   mutable sx_dslot : int;  (* TLB slot of the last successful data probe *)
+  (* last store translation of this block: virtual address (as
+     [Int64.to_int]; -1 = none), TLB slot and physical address *)
+  mutable sx_wva : int;
+  mutable sx_wslot : int;
+  mutable sx_wpaddr : int;
+  mutable sx_chk_line : int;
+      (* last line whose fetch isolation check passed in this block *)
   (* deferred-but-exact accounting: accumulated here, flushed once at
      block exit *)
   mutable sx_cycles : int;
@@ -133,10 +143,12 @@ type t = {
   fetch : fetch_state array;  (* indexed by core id *)
   decode_pages : dslot array option array;  (* indexed by physical page *)
   sb_pages : sb_page option array;  (* indexed by physical page *)
+  mutable sb_free : (sb_ctx -> int -> int) array list;
+      (* closure arrays of dropped pages, reused by [sb_new_page] *)
+  mutable sb_free_len : int;
   sb_ctxs : sb_ctx array;  (* indexed by core id *)
   l1_shift : int;  (* log2 of the L1 line size: fetch-batch line tags *)
   mutable fast_path : bool;
-  mutable superblock : bool;
   mutable phys_epoch : int;
       (* bumped on every protection change ([set_phys_check],
          [note_protection_change]): the superblock guard that covers
@@ -170,13 +182,20 @@ let default_config =
     pmp_entries = Pmp.entry_count;
   }
 
+(* Closure arrays kept for reuse after their page is dropped: enough
+   for the code pages a churning enclave population reloads, without
+   pinning a whole memory's worth after a bulk wipe. *)
+let sb_free_max = 64
+
 (* Drop every predecoded slot and compiled superblock page overlapping
    the dirtied byte range. Fired by the [Phys_mem] write hook on every
    mutation of the stored bytes, so self-modifying code, DMA, zeroing,
    ECC absorption and injected bit flips can never execute a stale
    decode or a stale closure. A superblock page is additionally marked
    dead so a block that dirtied its own page — the store already
-   committed when the hook fires — exits before running another slot. *)
+   committed when the hook fires — exits before running another slot;
+   that is also what makes recycling its closure array safe, since
+   [sb_new_page] only runs at block entry. *)
 let invalidate_decode t ~pos ~len =
   if len > 0 then begin
     let n = Array.length t.decode_pages in
@@ -189,7 +208,11 @@ let invalidate_decode t ~pos ~len =
       match t.sb_pages.(p) with
       | Some sp ->
           sp.sb_alive <- false;
-          t.sb_pages.(p) <- None
+          t.sb_pages.(p) <- None;
+          if t.sb_free_len < sb_free_max then begin
+            t.sb_free <- sp.sb_code :: t.sb_free;
+            t.sb_free_len <- t.sb_free_len + 1
+          end
       | None -> ()
     done
   end
@@ -226,8 +249,13 @@ let create cfg =
       sx_epoch = 0;
       sx_gen = 0;
       sx_fuel = 0;
+      sx_deadline = max_int;
       sx_exit_pc = 0L;
       sx_dslot = -1;
+      sx_wva = -1;
+      sx_wslot = -1;
+      sx_wpaddr = -1;
+      sx_chk_line = -1;
       sx_cycles = 0;
       sx_instret = 0;
       sx_fetch_notes = 0;
@@ -253,10 +281,11 @@ let create cfg =
       fetch = Array.init cfg.cores mk_fetch;
       decode_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
       sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
+      sb_free = [];
+      sb_free_len = 0;
       sb_ctxs = Array.map mk_sb_ctx cores;
       l1_shift = Sanctorum_util.Bits.log2 cfg.l1.Cache.line_bytes;
       fast_path = true;
-      superblock = true;
       phys_epoch = 0;
       phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
     pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
@@ -282,24 +311,6 @@ let set_fast_path t enabled =
      the per-fetch validity checks would catch stale entries anyway. *)
   if not enabled then Array.iter (fun fs -> fs.f_valid <- false) t.fetch
 
-let fast_path t = t.fast_path
-
-let set_superblock t enabled =
-  t.superblock <- enabled;
-  (* Drop every compiled page on disable: a later re-enable recompiles
-     from the (coherent) predecode cache, and marking the pages dead
-     keeps any block re-entered across the toggle honest. *)
-  if not enabled then
-    Array.iteri
-      (fun i p ->
-        match p with
-        | Some sp ->
-            sp.sb_alive <- false;
-            t.sb_pages.(i) <- None
-        | None -> ())
-      t.sb_pages
-
-let superblock t = t.superblock
 let note_protection_change t = t.phys_epoch <- t.phys_epoch + 1
 
 let set_sink t sink =
@@ -489,7 +500,7 @@ let charge_cache t (core : core) ~paddr =
    paddr. A PC that is not 4-byte aligned raises the precise
    [Instruction_address_misaligned] trap (RISC-V: JALR clears only bit
    0 of its target, so bit 1 can survive into the PC); the fast fetch
-   path and the block executor both bail to this slow path on a
+   path and the superblock tier both bail to this slow path on a
    misaligned PC, so the trap is identical either way. *)
 let cached_access t core ~access ~vaddr ~size =
   if access = Trap.Execute && Int64.logand vaddr 3L <> 0L then
@@ -908,127 +919,6 @@ let step t core =
     end
   end
 
-(* Instructions eligible for block execution: they touch no memory and
-   can raise no trap, so executing one changes nothing that [step]'s
-   per-instruction checks depend on — satp, the TLB, physical memory,
-   the predecode cache, the interrupt queue and the timer all stay
-   fixed across the block. *)
-let block_safe instr =
-  match (instr : Isa.t) with
-  | Load _ | Store _ | Ecall | Ebreak -> false
-  | Lui _ | Auipc _ | Jal _ | Jalr _ | Branch _ | Op_imm _ | Op _ | Mul _
-  | Csr_read_cycle _ | Fence ->
-      true
-
-(* Run up to [fuel] consecutive block-safe instructions whose fetches
-   stay in the currently cached (and already predecoded) page, paying
-   the exact per-instruction accounting [step] would: TLB hit + cache
-   charge + cycles + instret per fetch, with the physical-isolation
-   check re-evaluated every time. Only called from [run] when no fault
-   hooks are armed, the timer is off and no interrupt is pending —
-   conditions no block-safe instruction can change, so checking them
-   once per block equals checking them once per step.
-
-   The executor inlines [execute]'s block-safe arms with the PC kept
-   as an unboxed int. [Int64.to_int] drops the top bit of an aliased
-   PC; [pc_hi] preserves it and link values and the written-back PC
-   re-add it, which equals carrying it through [execute]'s int64
-   arithmetic (PC-relative flow never changes the dropped bits, and a
-   register-target [Jalr] writes the architectural int64 directly and
-   ends the block). Returns instructions retired; 0 means [step] must
-   take over. *)
-let exec_block t core ~fuel =
-  let fs = t.fetch.(core.id) in
-  let fp0 = fast_fetch_paddr t core in
-  if fp0 < 0 then 0
-  else
-    match t.decode_pages.(fp0 lsr page_shift) with
-    | None -> 0 (* not predecoded yet: let the stepped path fill it *)
-    | Some page ->
-        let vpn = fs.f_vpn and pbase = fs.f_pbase in
-        let paging = fs.f_satp >= 0 in
-        let pcv0 = Int64.to_int core.pc in
-        let pc_hi = Int64.sub core.pc (Int64.of_int pcv0) in
-        let to_pc v = Int64.add pc_hi (Int64.of_int v) in
-        let executed = ref 0 in
-        let pcv = ref pcv0 in
-        let wrote_pc = ref false in
-        let continue = ref true in
-        while !continue && !executed < fuel do
-          let p = !pcv in
-          if p land 3 <> 0 || p lsr page_shift <> vpn then continue := false
-          else
-            let paddr = pbase lor (p land page_mask) in
-            if not (t.phys_check ~core ~access:Trap.Execute ~paddr) then
-              continue := false
-            else
-              match page.((paddr land page_mask) lsr 2) with
-              | Dinstr instr when block_safe instr ->
-                  if paging then begin
-                    Tlb.note_hit core.tlb;
-                    match t.ctrs with
-                    | Some c -> Tel.Metrics.incr c.c_tlb_hits
-                    | None -> ()
-                  end;
-                  charge_cache t core ~paddr;
-                  core.cycles <- core.cycles + 1;
-                  (match (instr : Isa.t) with
-                  | Op_imm (op, rd, rs1, imm) ->
-                      write_reg core rd
-                        (alu op (read_reg core rs1) (Int64.of_int imm));
-                      pcv := p + 4
-                  | Op (op, rd, rs1, rs2) ->
-                      write_reg core rd
-                        (alu op (read_reg core rs1) (read_reg core rs2));
-                      pcv := p + 4
-                  | Branch (op, rs1, rs2, off) ->
-                      pcv :=
-                        if
-                          branch_taken op (read_reg core rs1)
-                            (read_reg core rs2)
-                        then p + off
-                        else p + 4
-                  | Lui (rd, imm) ->
-                      write_reg core rd
-                        (Int64.shift_left (Int64.of_int imm) 12);
-                      pcv := p + 4
-                  | Auipc (rd, imm) ->
-                      write_reg core rd
-                        (Int64.add (to_pc p)
-                           (Int64.shift_left (Int64.of_int imm) 12));
-                      pcv := p + 4
-                  | Jal (rd, off) ->
-                      write_reg core rd (to_pc (p + 4));
-                      pcv := p + off
-                  | Jalr (rd, rs1, imm) ->
-                      let target =
-                        Int64.logand
-                          (Int64.add (read_reg core rs1) (Int64.of_int imm))
-                          (Int64.lognot 1L)
-                      in
-                      write_reg core rd (to_pc (p + 4));
-                      core.pc <- target;
-                      wrote_pc := true;
-                      continue := false
-                  | Mul (rd, rs1, rs2) ->
-                      write_reg core rd
-                        (Int64.mul (read_reg core rs1) (read_reg core rs2));
-                      pcv := p + 4
-                  | Csr_read_cycle rd ->
-                      write_reg core rd (Int64.of_int core.cycles);
-                      pcv := p + 4
-                  | Fence -> pcv := p + 4
-                  | Load _ | Store _ | Ecall | Ebreak -> assert false);
-                  core.instret <- core.instret + 1;
-                  (match t.ctrs with
-                  | Some c -> Tel.Metrics.incr c.c_instret
-                  | None -> ());
-                  incr executed
-              | _ -> continue := false
-        done;
-        if not !wrote_pc then core.pc <- to_pc !pcv;
-        !executed
-
 (* ---- Superblock tier: engine ----------------------------------------
 
    Pre-translated straight-line runs, including loads and stores. Every
@@ -1038,7 +928,8 @@ let exec_block t core ~fuel =
      transition; within a block no monitor code can run, so the pure
      phys check's inputs are frozen — see [sb_fetch_ok]) and, for
      memory ops, every check [translate_exn]/[data_access] would make,
-     plus the epoch/generation/interrupt/timer/fault-hook guards. The
+     plus the epoch/generation/interrupt/fault-hook guards (the timer
+     is a cycle deadline checked between slots, see [sb_exec]). The
      guard phase mutates nothing, so a side exit leaves architectural
      state bit-identical to never having entered the block and the
      stepped path replays the instruction — and raises the precise
@@ -1076,39 +967,43 @@ let sb_flush_line (core : core) ctx =
   end;
   ctx.sx_line <- -1
 
+(* One real cache-model access, counted in the deferred tallies;
+   returns its cycle cost. *)
+let sb_charge t (core : core) ctx ~paddr =
+  if Cache.access_hit core.l1 ~paddr then begin
+    ctx.sx_l1h <- ctx.sx_l1h + 1;
+    t.cfg.l1.Cache.hit_cycles
+  end
+  else begin
+    let l2_hit = Cache.access_hit t.l2 ~paddr in
+    ctx.sx_l1m <- ctx.sx_l1m + 1;
+    if l2_hit then ctx.sx_l2h <- ctx.sx_l2h + 1
+    else ctx.sx_l2m <- ctx.sx_l2m + 1;
+    t.cfg.l1.Cache.miss_cycles
+    + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
+  end
+
 (* First fetch from a new cache line: flush the previous batch, pay the
    real cache-model access, open a new batch. Adds the fetch cost plus
    the dispatch cycle. *)
 let sb_fetch_transition t (core : core) ctx ~paddr ~line =
   sb_flush_line core ctx;
-  let cost =
-    if Cache.access_hit core.l1 ~paddr then begin
-      ctx.sx_l1h <- ctx.sx_l1h + 1;
-      t.cfg.l1.Cache.hit_cycles
-    end
-    else begin
-      let l2_hit = Cache.access_hit t.l2 ~paddr in
-      ctx.sx_l1m <- ctx.sx_l1m + 1;
-      if l2_hit then ctx.sx_l2h <- ctx.sx_l2h + 1
-      else ctx.sx_l2m <- ctx.sx_l2m + 1;
-      t.cfg.l1.Cache.miss_cycles
-      + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
-    end
-  in
-  ctx.sx_cycles <- ctx.sx_cycles + cost + 1;
+  ctx.sx_cycles <- ctx.sx_cycles + sb_charge t core ctx ~paddr + 1;
   ctx.sx_line <- line;
+  ctx.sx_chk_line <- line;
   ctx.sx_line_paddr <- paddr
 
 (* Fetch-side guard. The physical-isolation check is pure (the
    [set_phys_check] contract) and its inputs — PMP entries, the owner
    map, the core's domain — are only ever changed by monitor code,
    which cannot run inside a block (every trap side-exits first). It
-   is therefore re-evaluated at every cache-line transition rather
-   than every fetch: within one line of one block the answer is
-   provably the entry answer. The per-memory-op epoch guard
-   ([sb_data_paddr]) backstops the same inputs independently. *)
+   is therefore evaluated once per cache line per block rather than
+   every fetch: within one line of one block the answer is provably
+   the entry answer, also after a data access closed the line's fetch
+   batch. The per-memory-op epoch guard ([sb_data_paddr]) backstops
+   the same inputs independently. *)
 let sb_fetch_ok t (core : core) ctx ~paddr ~line =
-  ctx.sx_line = line || t.phys_check ~core ~access:Trap.Execute ~paddr
+  ctx.sx_chk_line = line || t.phys_check ~core ~access:Trap.Execute ~paddr
 
 (* Per-instruction fetch commit: TLB note (paging), cache charge
    (batched per line) and the dispatch cycle — the deferred image of
@@ -1131,7 +1026,35 @@ let sb_account_fetch t (core : core) ctx ~paddr ~line =
    split across a page boundary, or would need an ECC scrub is left
    entirely to the stepped path, before a single byte moves. On
    success with paging on, [sx_dslot] holds the TLB slot for the
-   commit. *)
+   commit.
+
+   The translation itself — TLB probe, permissions, bounds and the
+   isolation check — is a pure function of the virtual address, the
+   access kind, the TLB contents and the isolation check's inputs. The
+   last two are frozen within a block (the generation and epoch guards
+   above re-prove it at every op), so a store to the previous store's
+   address reuses its answer. Loads always translate. *)
+let sb_translate t (core : core) ctx ~access ~va =
+  let paddr =
+    if not ctx.sx_paging then va
+    else begin
+      let slot = Tlb.probe core.tlb ~vpn:(va lsr page_shift) in
+      if slot < 0 then -1
+      else if not (tlb_perms_allow (Tlb.slot_perms core.tlb slot) access)
+      then -1
+      else begin
+        ctx.sx_dslot <- slot;
+        Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
+      end
+    end
+  in
+  if
+    paddr < 0
+    || paddr + 8 > Phys_mem.size t.mem
+    || not (t.phys_check ~core ~access ~paddr)
+  then -1
+  else paddr
+
 let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
   let va = Int64.to_int vaddr in
   if
@@ -1141,30 +1064,24 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
     || Phys_mem.pending_faults t.mem > 0
     || t.phys_epoch <> ctx.sx_epoch
     || Tlb.generation core.tlb <> ctx.sx_gen
-    || core.timer_cmp <> None
     || (not (Queue.is_empty core.pending_interrupts))
     || t.fault_hooks <> None
   then -1
   else begin
-    let paddr =
-      if not ctx.sx_paging then va
-      else begin
-        let slot = Tlb.probe core.tlb ~vpn:(va lsr page_shift) in
-        if slot < 0 then -1
-        else if not (tlb_perms_allow (Tlb.slot_perms core.tlb slot) access)
-        then -1
-        else begin
-          ctx.sx_dslot <- slot;
-          Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
-        end
-      end
-    in
-    if
-      paddr < 0
-      || paddr + 8 > Phys_mem.size t.mem
-      || not (t.phys_check ~core ~access ~paddr)
-    then -1
-    else paddr
+    if access <> Trap.Write then sb_translate t core ctx ~access ~va
+    else if va = ctx.sx_wva then begin
+      ctx.sx_dslot <- ctx.sx_wslot;
+      ctx.sx_wpaddr
+    end
+    else begin
+      let paddr = sb_translate t core ctx ~access ~va in
+      if paddr >= 0 then begin
+        ctx.sx_wva <- va;
+        ctx.sx_wslot <- ctx.sx_dslot;
+        ctx.sx_wpaddr <- paddr
+      end;
+      paddr
+    end
   end
 
 (* Data-access commit: the mutating half in [step]'s order — data TLB
@@ -1176,21 +1093,7 @@ let sb_commit_data t (core : core) ctx ~paddr =
     ctx.sx_tlb_ctr <- ctx.sx_tlb_ctr + 1
   end;
   sb_flush_line core ctx;
-  let cost =
-    if Cache.access_hit core.l1 ~paddr then begin
-      ctx.sx_l1h <- ctx.sx_l1h + 1;
-      t.cfg.l1.Cache.hit_cycles
-    end
-    else begin
-      let l2_hit = Cache.access_hit t.l2 ~paddr in
-      ctx.sx_l1m <- ctx.sx_l1m + 1;
-      if l2_hit then ctx.sx_l2h <- ctx.sx_l2h + 1
-      else ctx.sx_l2m <- ctx.sx_l2m + 1;
-      t.cfg.l1.Cache.miss_cycles
-      + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
-    end
-  in
-  ctx.sx_cycles <- ctx.sx_cycles + cost
+  ctx.sx_cycles <- ctx.sx_cycles + sb_charge t core ctx ~paddr
 
 (* Retire and fall through; past the last slot the block exits at the
    first PC of the next page. *)
@@ -1498,9 +1401,17 @@ let sb_compile t ~ppn ~slot =
 
 (* Lazily compiled page: every slot starts as a shared build closure
    that compiles itself on first execution, replaces the slot, and
-   tail-runs the result. Invalidation drops the whole page. *)
+   tail-runs the result. Invalidation drops the whole page; its array
+   comes back here through [sb_free]. *)
 let sb_new_page t ppn =
-  let code = Array.make sb_slots sb_side_exit in
+  let code =
+    match t.sb_free with
+    | code :: rest ->
+        t.sb_free <- rest;
+        t.sb_free_len <- t.sb_free_len - 1;
+        code
+    | [] -> Array.make sb_slots sb_side_exit
+  in
   let page = { sb_code = code; sb_alive = true } in
   let build ctx slot =
     let f = sb_compile t ~ppn ~slot in
@@ -1510,10 +1421,20 @@ let sb_new_page t ppn =
   Array.fill code 0 sb_slots build;
   page
 
-(* Superblock entry: same preconditions and same contract as
-   [exec_block] — returns instructions retired, 0 = stepped takeover.
-   Entry guards ride on [fast_fetch_paddr]: alignment, satp and TLB
-   generation, no pending ECC faults, bounds and the isolation check. *)
+(* Superblock entry. Only called from [run] when no fault hooks are
+   armed and no interrupt is pending — conditions no in-block
+   instruction can change. Returns instructions retired; 0 means
+   [step] must take over. Entry guards ride on [fast_fetch_paddr]:
+   alignment, satp and TLB generation, no pending ECC faults, bounds
+   and the isolation check.
+
+   Timer deadline: [step] delivers the timer interrupt before the first
+   fetch at which [cycles >= timer_cmp]. The deferred count is exact —
+   [core.cycles + sx_cycles] is the stepped cycle count at every slot
+   boundary — so ending the block at the first boundary where
+   [sx_cycles >= timer_cmp - core.cycles] hands [step] the same core
+   state at the same cycle, and the trap fires there exactly as it
+   would have fully stepped. *)
 let sb_exec t (core : core) ~fuel =
   let fp0 = fast_fetch_paddr t core in
   if fp0 < 0 then 0
@@ -1534,6 +1455,8 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_epoch <- t.phys_epoch;
     ctx.sx_gen <- Tlb.generation core.tlb;
     ctx.sx_fuel <- fuel;
+    ctx.sx_deadline <-
+      (match core.timer_cmp with Some c -> c - core.cycles | None -> max_int);
     ctx.sx_exit_pc <- core.pc;
     ctx.sx_cycles <- 0;
     ctx.sx_instret <- 0;
@@ -1545,12 +1468,14 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_l2m <- 0;
     ctx.sx_line <- -1;
     ctx.sx_line_rep <- 0;
+    ctx.sx_wva <- -1;
+    ctx.sx_chk_line <- -1;
     ctx.sx_side_exit <- false;
     let code = page.sb_code in
     let slot = ref ((fp0 land page_mask) lsr 2) in
     let running = ref true in
     while !running do
-      if ctx.sx_fuel <= 0 then begin
+      if ctx.sx_fuel <= 0 || ctx.sx_cycles >= ctx.sx_deadline then begin
         ctx.sx_exit_pc <- Int64.add ctx.sx_vbase (Int64.of_int (!slot lsl 2));
         running := false
       end
@@ -1589,14 +1514,9 @@ let run t ~core ~fuel =
     let before = c.instret in
     (if
        t.fast_path && t.fault_hooks = None
-       && c.timer_cmp = None
        && Queue.is_empty c.pending_interrupts
      then begin
-       let n =
-         if t.superblock then sb_exec t c ~fuel:!budget
-         else exec_block t c ~fuel:!budget
-       in
-       if n = 0 then step t c
+       if sb_exec t c ~fuel:!budget = 0 then step t c
      end
      else step t c);
     (* Trap deliveries retire no instruction; still consume fuel so a

@@ -85,8 +85,11 @@ val set_phys_check :
     must be pure: the fetch fast path re-evaluates it on every fetch
     (it is the one translation input with no change counter — Keystone
     reprograms PMP without a TLB flush) and a fast-path miss evaluates
-    it a second time on the slow path. Installing a check bumps the
-    protection epoch (see {!note_protection_change}); backends that
+    it a second time on the slow path. Its answer must also be uniform
+    over each L1 cache line (both backends decide per 4 KiB page): the
+    superblock tier checks a fetched line once per block.
+    Installing a check bumps the protection epoch (see
+    {!note_protection_change}); backends that
     later mutate the state the installed check reads — reprogram PMP,
     reassign an ownership range, switch a core's domain — must call
     {!note_protection_change} after each such change. *)
@@ -160,33 +163,29 @@ val now : t -> int
 (** {2 Execution} *)
 
 val set_fast_path : t -> bool -> unit
-(** Enable (default) or disable the simulator's host-side fast path: a
-    per-core fetch-translation cache plus a per-physical-page
-    predecoded-instruction cache. Architectural state — cycles,
-    instret, registers, traps, TLB/cache statistics — is bit-identical
-    in both modes; only host wall-clock differs. The [off] mode exists
-    as the differential-testing baseline ([bench sim] measures the
-    gap, the qcheck property proves the equivalence). *)
+(** Enable (default) or disable the simulator's host-side fast tier. With
+    it on, {!run} executes through a per-core fetch-translation cache,
+    a per-physical-page predecoded-instruction cache, and the
+    superblock tier on top of them: straight-line runs — including
+    loads and stores — pre-translated into per-physical-page arrays of
+    pre-bound closures, built lazily from the predecode cache. Guards
+    at block entry and at every memory operation (protection epoch,
+    TLB generation, satp, pending ECC faults, interrupt and fault-hook
+    state) side-exit to the stepped path with architectural state
+    bit-identical to never having entered the block; any operation that
+    would trap, split across a page boundary, or need an ECC scrub
+    side-exits before a byte moves. An armed timer is a cycle deadline:
+    a block ends at the first instruction boundary where the timer is
+    due, so the timer interrupt is delivered at the same cycle and PC
+    as on the stepped path. Accounting is deferred but exact: cycles,
+    instret, TLB and cache statistics, and telemetry match the stepped
+    path bit-for-bit (only the host-side [hw.sb.*] diagnostic counters
+    differ across tiers); the [hw.sb.instret] counter reports how many
+    retired instructions the superblock tier ran.
 
-val fast_path : t -> bool
-
-val set_superblock : t -> bool -> unit
-(** Enable (default) or disable the superblock execution tier on top of
-    the fast path: straight-line runs — including loads and stores —
-    pre-translated into per-physical-page arrays of pre-bound closures,
-    built lazily from the predecode cache. Guards at block entry and at
-    every memory operation (protection epoch, TLB generation, satp,
-    pending ECC faults, interrupt/timer/fault-hook state) side-exit to
-    the stepped path with architectural state bit-identical to never
-    having entered the block; any operation that would trap, split
-    across a page boundary, or need an ECC scrub side-exits before a
-    byte moves. Accounting is deferred but exact: cycles, instret,
-    TLB and cache statistics, and telemetry match the stepped path
-    bit-for-bit (only the host-side [hw.sb.*] diagnostic counters
-    differ across tiers). The tier only runs when {!set_fast_path} is
-    enabled; disabling drops every compiled page. *)
-
-val superblock : t -> bool
+    The [off] mode is the seed pipeline, kept as the differential
+    testing reference ([bench sim] measures the gap, the qcheck
+    property proves the equivalence). *)
 
 val inject_bit_flip : t -> paddr:int -> bit:int -> unit
 (** {!Phys_mem.inject_bit_flip} on this machine's memory, via the

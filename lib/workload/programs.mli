@@ -26,6 +26,12 @@ val evbase : int
 val shared_vaddr : int
 (** Where the ipc mix maps its OS-shared window. *)
 
+val compute_program : iters:int -> Sanctorum_hw.Isa.t list
+(** The compute mix's worker: counts to [iters] in a loop of load-free
+    [bge]/[addi]/[sd]/[jal], checkpointing the counter in the first data
+    page ([evbase] + one page) so a re-entry after an AEX resumes the
+    count; resets it and exits at the end. *)
+
 val build_image : mix:mix -> rng:Sanctorum_util.Splitmix.t -> Sanctorum.Image.t
 (** A worker image for [mix]; iteration counts and paging targets are
     drawn from [rng], so the image is a pure function of the stream

@@ -7,7 +7,7 @@
    self-modifying stores into their own code page, DMA writes into
    code, injected ECC faults (correctable and uncorrectable) and
    posted interrupts — every event class that can invalidate a cached
-   decode or translation. *)
+   decode or translation, plus armed preemption timers. *)
 
 module Hw = Sanctorum_hw
 module Tel = Sanctorum_telemetry
@@ -256,6 +256,7 @@ type event =
   | Flip2 of int * int (* uncorrectable: two bits of one word *)
   | Dma of int * int (* write one word into the code page *)
   | Irq of int
+  | Timer of int (* arm the timer [k] cycles from now *)
 
 let alu_ops =
   Hw.Isa.[| Add; Sub; Sll; Slt; Sltu; Xor; Srl; Sra; Or; And |]
@@ -319,6 +320,9 @@ let instr_of_op op =
 
 let apply_event m ~code_base ~data_base ev =
   match ev with
+  | Timer k ->
+      let c = Hw.Machine.core m 0 in
+      c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + k)
   | Flip (w, bit) ->
       let base = if w < 64 then code_base else data_base in
       Hw.Machine.inject_bit_flip m
@@ -344,34 +348,63 @@ let apply_event m ~code_base ~data_base ev =
 (* How to drive the machine: [Stepwise] calls [Machine.step] directly
    (events land between arbitrary single steps); [Chunked] calls
    [Machine.run] with a cycled list of small fuel slices (events land
-   at chunk boundaries), which exercises the block executor and the
-   superblock tier inside [run]. All machines of a differential group
-   use the same drive, so injection points are architecturally
-   identical. *)
-type drive = Stepwise | Chunked of int list
+   at chunk boundaries), which exercises the superblock tier inside
+   [run]; with a quantum, every chunk runs under a freshly armed timer
+   that is disarmed afterwards, as the OS dispatches a thread. All
+   machines of a differential group use the same drive, so injection
+   points are architecturally identical. *)
+type drive = Stepwise | Chunked of int list * int option
 
-(* The three execution tiers under differential test. [Super] is the
-   default configuration (fast path + superblock); [Fast] is the PR4
-   configuration (fast path, block executor, superblock off); [Slow]
-   is the seed pipeline. *)
-type tier = Slow | Fast | Super
+(* The two execution tiers under differential test. [Super] is the
+   default configuration (fast path + superblock); [Slow] is the seed
+   pipeline. *)
+type tier = Slow | Super
 
 let set_tier m = function
   | Slow -> Hw.Machine.set_fast_path m false
-  | Fast -> Hw.Machine.set_superblock m false
   | Super -> ()
 
+let is_sb_counter name =
+  String.length name >= 6 && String.sub name 0 6 = "hw.sb."
+
+(* Every registered counter except the host-side hw.sb.* diagnostics,
+   which are the one family allowed to differ across tiers. *)
+let counter_snapshot metrics =
+  List.filter_map
+    (fun (name, item) ->
+      match item with
+      | Tel.Metrics.Counter c when not (is_sb_counter name) ->
+          Some (name, Tel.Metrics.value c)
+      | _ -> None)
+    (Tel.Metrics.to_list metrics)
+
 (* Run one machine to completion (or the step cap) and snapshot every
-   piece of architectural state the fast tiers could disturb. *)
-let run_one ~tier ~drive ~mode ~ops ~events ~raws =
+   piece of architectural state the fast tiers could disturb. With
+   [~metrics:true] a live sink with a metrics registry is attached and
+   its counter table joins the snapshot. *)
+let run_one ?(metrics = false) ~tier ~drive ~mode ~ops ~events ~raws () =
   let m =
     Hw.Machine.create
       { Hw.Machine.default_config with cores = 1; mem_bytes = 1024 * 1024 }
   in
   set_tier m tier;
+  let registry =
+    if metrics then begin
+      let r = Tel.Metrics.create () in
+      Hw.Machine.set_sink m (Tel.Sink.create ~metrics:r ());
+      Some r
+    end
+    else None
+  in
   let traps = ref [] in
   Hw.Machine.set_trap_handler m (fun _ c cause ->
-      traps := Format.asprintf "%a" Hw.Trap.pp_cause cause :: !traps;
+      (* where and when each trap landed: a timer taken one
+         instruction late leaves the final state unchanged, but not
+         the PC, cycle count and instret it was delivered at *)
+      traps :=
+        Format.asprintf "%a@0x%Lx/%d/%d" Hw.Trap.pp_cause cause
+          c.Hw.Machine.pc c.Hw.Machine.cycles c.Hw.Machine.instret
+        :: !traps;
       match cause with
       | Hw.Trap.Exception Hw.Trap.Ecall_user -> c.Hw.Machine.halted <- true
       | Hw.Trap.Exception (Hw.Trap.Instruction_address_misaligned _) ->
@@ -443,7 +476,7 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
         Hw.Machine.step m c;
         incr steps
       done
-  | Chunked chunks ->
+  | Chunked (chunks, quantum) ->
       let chunks = Array.of_list chunks in
       let n = Array.length chunks in
       let i = ref 0 in
@@ -451,8 +484,12 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
         List.iter
           (fun (k, ev) -> if k = !i then apply_event m ~code_base ~data_base ev)
           events;
+        Option.iter
+          (fun q -> c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + q))
+          quantum;
         ignore
           (Hw.Machine.run m ~core:0 ~fuel:(1 + (chunks.(!i mod n) land 63)));
+        if quantum <> None then c.Hw.Machine.timer_cmp <- None;
         incr i
       done);
   ( c.Hw.Machine.instret,
@@ -463,7 +500,8 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
     Hw.Cache.stats c.Hw.Machine.l1,
     Hw.Cache.stats (Hw.Machine.l2 m),
     List.rev !traps,
-    Hw.Phys_mem.pending_faults mem )
+    Hw.Phys_mem.pending_faults mem,
+    Option.fold ~none:[] ~some:counter_snapshot registry )
 
 let case_gen =
   let open QCheck2.Gen in
@@ -489,24 +527,39 @@ let case_gen =
       ]
   in
   let event_gen =
-    oneof
+    frequency
       [
-        map2 (fun w b -> Flip (w, b)) (int_bound 127) (int_bound 62);
-        map2 (fun w b -> Flip2 (w, b)) (int_bound 127) (int_bound 61);
-        map2 (fun w v -> Dma (w, v)) (int_bound 95) (int_bound 0xFFFFFF);
-        map (fun n -> Irq n) (int_bound 7);
+        (1, map2 (fun w b -> Flip (w, b)) (int_bound 127) (int_bound 62));
+        (1, map2 (fun w b -> Flip2 (w, b)) (int_bound 127) (int_bound 61));
+        (1, map2 (fun w v -> Dma (w, v)) (int_bound 95) (int_bound 0xFFFFFF));
+        (1, map (fun n -> Irq n) (int_bound 7));
+        (* due now, after one cycle, within one cache line's worth of
+           fetches (16 at 2 cycles each on a hit), or deeper inside a
+           block; the most frequent event, as a timer only matters
+           while a block is running *)
+        ( 3,
+          map
+            (fun k -> Timer k)
+            (oneof [ pure 0; pure 1; int_bound 32; int_bound 120; int_bound 400 ])
+        );
       ]
   in
   quad
     (oneofl [ Bare; Paged ])
     (list_size (int_range 10 50) op_gen)
-    (list_size (int_range 0 6) (pair (int_bound 400) event_gen))
+    (* a program halts within a few fuel chunks or a few dozen steps,
+       so most injection points are drawn early enough to land *)
+    (list_size (int_range 0 6)
+       (pair
+          (frequency [ (3, int_bound 6); (2, int_bound 60); (1, int_bound 400) ])
+          event_gen))
     (list_size (int_range 0 3) (pair (int_bound 95) (int_bound 0x7FFFFFF)))
 
 (* Compare two tier snapshots field by field; [label] names the pair
    so a failure pins which tier diverged from which. *)
-let snapshots_agree ~label (i_a, c_a, pc_a, r_a, t_a, l1_a, l2_a, tr_a, p_a)
-    (i_b, c_b, pc_b, r_b, t_b, l1_b, l2_b, tr_b, p_b) =
+let snapshots_agree ~label
+    (i_a, c_a, pc_a, r_a, t_a, l1_a, l2_a, tr_a, p_a, m_a)
+    (i_b, c_b, pc_b, r_b, t_b, l1_b, l2_b, tr_b, p_b, m_b) =
   let fail what = QCheck2.Test.fail_reportf "%s diverge on %s" label what in
   if i_a <> i_b then fail (Printf.sprintf "instret (%d vs %d)" i_a i_b)
   else if c_a <> c_b then fail (Printf.sprintf "cycles (%d vs %d)" c_a c_b)
@@ -527,25 +580,15 @@ let snapshots_agree ~label (i_a, c_a, pc_a, r_a, t_a, l1_a, l2_a, tr_a, p_a)
          (List.length tr_a) (List.length tr_b) (String.concat "; " tr_a)
          (String.concat "; " tr_b))
   else if p_a <> p_b then fail "pending fault count"
+  else if m_a <> m_b then fail "telemetry counter table"
   else true
 
-(* The PR4 pairing: the default configuration against the seed
-   pipeline ("fast path on/off" — on means everything the simulator
-   enables by default, today fast path + superblock). *)
-let compare_pair ~drive (mode, ops, events, raws) =
-  let a = run_one ~tier:Super ~drive ~mode ~ops ~events ~raws
-  and b = run_one ~tier:Slow ~drive ~mode ~ops ~events ~raws in
-  snapshots_agree ~label:"fast/slow" a b
-
-(* All three tiers on the same case, compared pairwise so a failure
-   attributes the divergence: superblock-vs-fast isolates the
-   superblock engine, fast-vs-stepped isolates the block executor. *)
-let compare_tiers ~drive (mode, ops, events, raws) =
-  let sup = run_one ~tier:Super ~drive ~mode ~ops ~events ~raws
-  and fast = run_one ~tier:Fast ~drive ~mode ~ops ~events ~raws
-  and slow = run_one ~tier:Slow ~drive ~mode ~ops ~events ~raws in
-  snapshots_agree ~label:"superblock/fast" sup fast
-  && snapshots_agree ~label:"fast/stepped" fast slow
+(* The default configuration (fast path + superblock) against the
+   seed pipeline. *)
+let compare_pair ?metrics ~drive (mode, ops, events, raws) =
+  let a = run_one ?metrics ~tier:Super ~drive ~mode ~ops ~events ~raws ()
+  and b = run_one ?metrics ~tier:Slow ~drive ~mode ~ops ~events ~raws () in
+  snapshots_agree ~label:"superblock/stepped" a b
 
 (* Trial counts scale with SANCTORUM_QCHECK_COUNT for the deep sweep
    (the bugfix hunt runs thousands of cases per property); the default
@@ -563,7 +606,7 @@ let prop_differential =
     ~count:(qcount 60) case_gen
     (compare_pair ~drive:Stepwise)
 
-(* Same property through [Machine.run]: covers the block executor,
+(* Same property through [Machine.run]: covers the superblock tier,
    with events injected at random fuel-chunk boundaries. *)
 let prop_differential_run =
   QCheck2.Test.make
@@ -571,22 +614,28 @@ let prop_differential_run =
     ~count:(qcount 40)
     QCheck2.Gen.(
       pair case_gen (list_size (int_range 1 8) (int_bound 62)))
-    (fun (case, chunks) -> compare_pair ~drive:(Chunked chunks) case)
+    (fun (case, chunks) -> compare_pair ~drive:(Chunked (chunks, None)) case)
 
-(* The superblock differential: all three tiers pairwise on the same
-   random program, driven through [Machine.run] (the only entry point
-   where the superblock engine engages), with loads, stores,
-   page-crossing accesses, self-modifying stores, DMA overwrites,
-   ECC flips and interrupts landing at chunk boundaries. *)
+(* The superblock differential under a live telemetry sink: both tiers
+   on the same random program, driven through [Machine.run] (the only
+   entry point where the superblock engine engages), with loads,
+   stores, page-crossing accesses, self-modifying stores, DMA
+   overwrites, ECC flips, interrupts and armed timers landing at chunk
+   boundaries — and, in most trials, a preemption quantum re-armed
+   for every chunk — with the whole counter table (hw.sb.* aside)
+   compared alongside the architectural state. *)
 let prop_differential_superblock =
   QCheck2.Test.make
     ~name:
-      "differential: superblock vs block vs stepped tiers — bit-identical \
-       state (run-driven)"
+      "differential: superblock vs stepped tiers, timers and live sink — \
+       bit-identical state (run-driven)"
     ~count:(qcount 40)
     QCheck2.Gen.(
-      pair case_gen (list_size (int_range 1 8) (int_bound 62)))
-    (fun (case, chunks) -> compare_tiers ~drive:(Chunked chunks) case)
+      triple case_gen
+        (list_size (int_range 1 8) (int_bound 62))
+        (frequency [ (1, pure None); (3, map Option.some (int_bound 80)) ]))
+    (fun (case, chunks, quantum) ->
+      compare_pair ~metrics:true ~drive:(Chunked (chunks, quantum)) case)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned regressions for the ISA/MMU edge cases. *)
@@ -743,20 +792,6 @@ let test_differential_full_stack () =
 (* ------------------------------------------------------------------ *)
 (* Superblock-tier pinned regressions. *)
 
-let is_sb_counter name =
-  String.length name >= 6 && String.sub name 0 6 = "hw.sb."
-
-(* Every registered counter except the host-side hw.sb.* diagnostics,
-   which are the one family allowed to differ across tiers. *)
-let counter_snapshot metrics =
-  List.filter_map
-    (fun (name, item) ->
-      match item with
-      | Tel.Metrics.Counter c when not (is_sb_counter name) ->
-          Some (name, Tel.Metrics.value c)
-      | _ -> None)
-    (Tel.Metrics.to_list metrics)
-
 let sb_instret_of metrics =
   match Tel.Metrics.find metrics "hw.sb.instret" with
   | Some (Tel.Metrics.Counter c) -> Tel.Metrics.value c
@@ -765,7 +800,7 @@ let sb_instret_of metrics =
 (* The differential harness never arms a telemetry sink, so counter
    parity across tiers was unobserved: a tier could batch a TLB or
    cache counter wrong and still pass every qcheck property. Run one
-   memory-heavy paged loop under all three tiers with a live metrics
+   memory-heavy paged loop under both tiers with a live metrics
    registry and demand the whole counter table — and the raw
    TLB/cache/cycles/instret state — agree bit-for-bit; hw.sb.instret
    must be live under the superblock tier, proving it engaged. *)
@@ -799,26 +834,21 @@ let test_tier_metrics_exact () =
       Hw.Cache.stats (Hw.Machine.l2 m) )
   in
   let m_s, sb_s, i_s, c_s, t_s, l1_s, l2_s = run_with Super in
-  let m_f, sb_f, i_f, c_f, t_f, l1_f, l2_f = run_with Fast in
   let m_l, sb_l, i_l, c_l, t_l, l1_l, l2_l = run_with Slow in
   check_bool "superblock tier engaged" true (sb_s > 0);
-  check_int "fast tier ran no superblocks" 0 sb_f;
   check_int "slow tier ran no superblocks" 0 sb_l;
-  check_bool "metrics table agrees (super vs fast)" true (m_s = m_f);
   check_bool "metrics table agrees (super vs slow)" true (m_s = m_l);
-  check_int "instret agrees (fast)" i_s i_f;
   check_int "instret agrees (slow)" i_s i_l;
-  check_int "cycles agree (fast)" c_s c_f;
   check_int "cycles agree (slow)" c_s c_l;
-  check_bool "TLB stats agree" true (t_s = t_f && t_s = t_l);
-  check_bool "L1 stats agree" true (l1_s = l1_f && l1_s = l1_l);
-  check_bool "L2 stats agree" true (l2_s = l2_f && l2_s = l2_l)
+  check_bool "TLB stats agree" true (t_s = t_l);
+  check_bool "L1 stats agree" true (l1_s = l1_l);
+  check_bool "L2 stats agree" true (l2_s = l2_l)
 
 (* A store that straddles a page boundary mid-superblock must
    side-exit *before any byte moves*. Two cases in one program: a
    straddle across two mapped, non-adjacent frames (the stepped path
    stitches it) and a straddle whose second page is unmapped (faults
-   whole). Every tier must leave both frames, the registers and the
+   whole). Both tiers must leave both frames, the registers and the
    trap bit-identical. *)
 let test_superblock_split_store () =
   let run_with tier =
@@ -850,10 +880,7 @@ let test_superblock_split_store () =
       Hw.Phys_mem.read_u32 mem 0x60ffc,
       !last )
   in
-  let sup = run_with Super
-  and fast = run_with Fast
-  and slow = run_with Slow in
-  check_bool "tiers agree (super vs fast)" true (sup = fast);
+  let sup = run_with Super and slow = run_with Slow in
   check_bool "tiers agree (super vs slow)" true (sup = slow);
   let a0, before, lo, hi, keep, partial, trap = sup in
   check_i64 "ALU state at the fault" 31L a0;
@@ -871,11 +898,57 @@ let test_superblock_split_store () =
         (Format.asprintf "%a" Hw.Trap.pp_cause c)
   | None -> Alcotest.fail "expected a write page fault at 0x22000"
 
+(* A block memoizes the translation of its last store only: a store to
+   the address a load just read must still check write permission. On
+   a read-only page the store faults precisely, with the loaded value
+   in place and memory untouched. *)
+let test_superblock_store_after_load_readonly () =
+  let run_with tier =
+    let m, last, root = paged_machine () in
+    set_tier m tier;
+    let mem = Hw.Machine.mem m in
+    Hw.Page_table.map mem ~root_ppn:root ~vaddr:0x23000 ~ppn:0x61
+      ~perms:{ Hw.Page_table.r = true; w = false; x = false; u = true }
+      ~alloc_table:(fun () -> 0x70);
+    Hw.Phys_mem.write_u32 mem 0x61000 41l;
+    let open Hw.Isa in
+    let c =
+      run_paged m root
+        (li t1 0x23000
+        @ [
+            Load (Ld, a0, t1, 0);
+            Op_imm (Add, a1, a0, 1);
+            Load (Ld, a2, t1, 0);
+            Store (Sd, a1, t1, 0);
+            Ecall;
+          ])
+    in
+    ( Hw.Machine.read_reg c Hw.Isa.a0,
+      Hw.Machine.read_reg c Hw.Isa.a2,
+      Hw.Phys_mem.read_u32 mem 0x61000,
+      !last,
+      c.Hw.Machine.instret,
+      c.Hw.Machine.cycles )
+  in
+  let sup = run_with Super and slow = run_with Slow in
+  check_bool "tiers agree (super vs slow)" true (sup = slow);
+  let a0, a2, word, trap, _, _ = sup in
+  check_i64 "loads ran" 41L a0;
+  check_i64 "repeated load ran" 41L a2;
+  check_bool "read-only word untouched" true (word = 41l);
+  match trap with
+  | Some (Hw.Trap.Exception (Hw.Trap.Page_fault (Hw.Trap.Write, 0x23000L))) ->
+      ()
+  | Some c ->
+      Alcotest.failf "unexpected trap: %s"
+        (Format.asprintf "%a" Hw.Trap.pp_cause c)
+  | None -> Alcotest.fail "expected a write page fault at 0x23000"
+
 (* Full-stack SMC: an enclave whose store dirties its *own* code page
    while a superblock on that page is running. The patched instruction
    (a jal) is the only exit from the loop, so a clean [Exited] outcome
    proves the fresh bytes ran — a stale compiled closure would spin
-   until the fuel budget dies. On both platform backends, all tiers
+   until the fuel budget dies. On both platform backends, both tiers
    bit-identical. *)
 let smc_own_page_image () =
   let open Hw.Isa in
@@ -927,18 +1000,15 @@ let test_superblock_smc_own_page backend () =
       Hw.Cache.stats c.Hw.Machine.l1,
       Hw.Cache.stats (Hw.Machine.l2 tb.Testbed.machine) )
   in
-  let sup = run_with Super
-  and fast = run_with Fast
-  and slow = run_with Slow in
+  let sup = run_with Super and slow = run_with Slow in
   let o, _, _, _, _, _ = sup in
   check_bool "patched instruction executed (clean exit)" true
     (o = Some Os.Exited);
-  check_bool "tiers agree (super vs fast)" true (sup = fast);
   check_bool "tiers agree (super vs slow)" true (sup = slow)
 
 (* The DMA variant: a device overwrites an instruction of a code page
    whose superblock is already compiled (a previous run executed it).
-   The next run must execute the new bytes under every tier. Runs bare
+   The next run must execute the new bytes under both tiers. Runs bare
    in the untrusted domain on both backends, so the write crosses the
    backend's dma_check and the invalidation hook. *)
 let test_superblock_dma_overwrite backend () =
@@ -974,14 +1044,85 @@ let test_superblock_dma_overwrite backend () =
     let second = spin () in
     (first, second, c.Hw.Machine.instret, c.Hw.Machine.cycles)
   in
-  let sup = run_with Super
-  and fast = run_with Fast
-  and slow = run_with Slow in
+  let sup = run_with Super and slow = run_with Slow in
   let first, second, _, _ = sup in
   check_i64 "original bytes executed" 5L first;
   check_i64 "DMA-overwritten bytes executed (no stale closure)" 55L second;
-  check_bool "tiers agree (super vs fast)" true (sup = fast);
   check_bool "tiers agree (super vs slow)" true (sup = slow)
+
+(* The OS preempts every enclave with a timer quantum, so this is the
+   path real workloads take. Before the superblock tier became
+   timer-aware it ran nothing here: every armed-timer [run] went
+   stepped (hw.sb.instret = 0). Run the compute mix's worker under a
+   500-cycle quantum to completion, re-entering after every AEX: at
+   least 90% of its instructions must retire on the superblock tier,
+   and every AEX — the cycle, instret and trap trace at which it was
+   taken, and the interrupted registers and PC the monitor saved into
+   the thread — must be bit-identical to the stepped pipeline's. *)
+let test_superblock_preempted_compute backend () =
+  let run_with tier =
+    let metrics = Tel.Metrics.create () in
+    let sink = Tel.Sink.create ~metrics () in
+    let tb = Testbed.create ~backend ~seed:"sb-preempt" ~sink () in
+    set_tier tb.Testbed.machine tier;
+    let image =
+      Img.of_program ~evbase:Sanctorum_workload.Programs.evbase
+        (Sanctorum_workload.Programs.compute_program ~iters:1500)
+    in
+    let inst = Result.get_ok (Os.install_enclave tb.Testbed.os image) in
+    let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
+    let c = Hw.Machine.core tb.Testbed.machine 0 in
+    let rec go first acc =
+      let dispatch = if first then Os.run_enclave else Os.resume_enclave in
+      match
+        dispatch tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100_000 ~quantum:500 ()
+      with
+      | Ok Os.Preempted ->
+          let saved =
+            Result.get_ok
+              (Sanctorum.Sm.read_aex_state tb.Testbed.sm
+                 ~caller:(Sanctorum.Sm.Enclave_caller eid) ~tid)
+          in
+          go false
+            ((c.Hw.Machine.cycles, c.Hw.Machine.instret, saved) :: acc)
+      | Ok o -> (o, List.rev acc)
+      | Error e ->
+          Alcotest.failf "dispatch refused: %a" Sanctorum.Api_error.pp e
+    in
+    let outcome, aexs = go true [] in
+    let value name =
+      match Tel.Metrics.find metrics name with
+      | Some (Tel.Metrics.Counter k) -> Tel.Metrics.value k
+      | _ -> 0
+    in
+    let traps =
+      List.filter_map
+        (fun (e : Tel.Event.t) ->
+          match e.Tel.Event.payload with
+          | Tel.Event.Trap_enter { cause } -> Some (e.Tel.Event.cycles, cause)
+          | _ -> None)
+        (Tel.Sink.events sink)
+    in
+    ( (outcome, aexs, traps, counter_snapshot metrics),
+      value "hw.sb.instret",
+      value "hw.instret" )
+  in
+  let sup, sb_instret, instret = run_with Super in
+  let slow, slow_sb, _ = run_with Slow in
+  let outcome, aexs, _, _ = sup in
+  check_bool "ran to a clean exit" true (outcome = Os.Exited);
+  check_bool "preempted several times" true (List.length aexs >= 3);
+  check_int "stepped tier ran no superblocks" 0 slow_sb;
+  check_bool
+    (Printf.sprintf "superblock share %d/%d >= 0.9" sb_instret instret)
+    true
+    (instret > 0 && float_of_int sb_instret >= 0.9 *. float_of_int instret);
+  let _, aexs_slow, traps_slow, counters_slow = slow
+  and _, _, traps, counters = sup in
+  check_bool "every AEX at the same cycle and instret, same saved state" true
+    (aexs = aexs_slow);
+  check_bool "trap trace identical" true (traps = traps_slow);
+  check_bool "counter tables identical" true (counters = counters_slow)
 
 let suite =
   ( "fastpath",
@@ -1016,6 +1157,8 @@ let suite =
         `Quick test_tier_metrics_exact;
       Alcotest.test_case "superblock: page-crossing store side-exits whole"
         `Quick test_superblock_split_store;
+      Alcotest.test_case "superblock: store after load checks write permission"
+        `Quick test_superblock_store_after_load_readonly;
       Alcotest.test_case "superblock: smc store dirties own page (sanctum)"
         `Quick
         (test_superblock_smc_own_page Testbed.Sanctum_backend);
@@ -1028,6 +1171,12 @@ let suite =
       Alcotest.test_case "superblock: DMA overwrite drops compiled page \
                           (keystone)" `Quick
         (test_superblock_dma_overwrite Testbed.Keystone_backend);
+      Alcotest.test_case "superblock: preempted compute worker (sanctum)"
+        `Quick
+        (test_superblock_preempted_compute Testbed.Sanctum_backend);
+      Alcotest.test_case "superblock: preempted compute worker (keystone)"
+        `Quick
+        (test_superblock_preempted_compute Testbed.Keystone_backend);
       QCheck_alcotest.to_alcotest prop_differential;
       QCheck_alcotest.to_alcotest prop_differential_run;
       QCheck_alcotest.to_alcotest prop_differential_superblock;

@@ -281,6 +281,31 @@ let test_netfault_deterministic () =
   check_bool "in-band partitioned away" true (Channel.try_recv ch = Some 2);
   check_bool "nothing else" true (Channel.try_recv ch = None)
 
+(* Two partition clocks: seeded [part:N] windows run on [clock], the
+   spec's explicit [part@] windows on [window_clock]. With horizon 1 a
+   seeded window starts before clock 8 and lasts at least 32, so it
+   covers clock 10 and has ended by clock 10000. *)
+let test_netfault_window_clocks () =
+  let dropped spec ~clock ~window_clock =
+    let ch = Channel.create () in
+    let l =
+      Netfault.create ~chan:ch ~seed:3L ~spec:(netspec spec) ~horizon:1
+        ~clock:(fun () -> clock)
+        ~window_clock:(fun () -> window_clock)
+        ~corrupt:Fun.id ()
+    in
+    Netfault.send l 1;
+    Channel.try_recv ch = None
+  in
+  check_bool "seeded window on the absolute clock" true
+    (dropped "part:1" ~clock:10 ~window_clock:(-1));
+  check_bool "seeded window ignores the window clock" false
+    (dropped "part:1" ~clock:10000 ~window_clock:10);
+  check_bool "explicit window waits for its clock" false
+    (dropped "part@0+1000" ~clock:10 ~window_clock:(-1));
+  check_bool "explicit window on the window clock" true
+    (dropped "part@0+1000" ~clock:10 ~window_clock:0)
+
 (* ------------------------------------------------------------------ *)
 (* Sessions: the reliable transport, one endpoint pair in isolation. *)
 
@@ -651,10 +676,14 @@ let test_chaos_all_clean () =
        + c "net.stale_rejected");
   check_int "no findings" 0 o.Fl.r_findings
 
-(* The partition drill, pinned: a 500-tick blackout after the fleet is
-   up. Both nodes must be fenced (heartbeats dead past the suspicion
-   deadline), their jobs migrated, and — once the partition heals —
-   re-attested under a fresh epoch, finishing the work themselves. *)
+(* The partition drill, pinned: a 500-tick blackout that starts with
+   the first placed batch (the downlink's partition clock counts from
+   it), so the work is in flight when the links go dark however fast
+   the shards compute — an absolute start tick let a fast host finish
+   everything first, and then nobody was fenced. Both nodes must be
+   fenced (heartbeats dead past the suspicion deadline), their jobs
+   migrated, and — once the partition heals — re-attested under a
+   fresh epoch, finishing the work themselves. *)
 let test_partition_evict_rejoin () =
   let cfg =
     {
@@ -664,7 +693,7 @@ let test_partition_evict_rejoin () =
       enclaves = 2;
       jobs = 16;
       target = 8;
-      net = netspec "part@60+500";
+      net = netspec "part@0+500";
     }
   in
   let o = Fl.run cfg in
@@ -774,6 +803,8 @@ let suite =
         test_netspec_parse;
       Alcotest.test_case "netfault: schedule replays from its seed" `Quick
         test_netfault_deterministic;
+      Alcotest.test_case "netfault: seeded and explicit partition clocks"
+        `Quick test_netfault_window_clocks;
       Alcotest.test_case "session: exactly-once, in-order delivery" `Quick
         test_session_delivery;
       Alcotest.test_case "session: mac, reflection, epoch fencing" `Quick
