@@ -4,24 +4,55 @@
    is regenerated by bin/loc_report.exe.
 
    Usage: main.exe [fig1|fig2|fig3|fig4|fig5|fig6|fig7|crypto|platforms|
-                    sidechannel|ablation|telemetry|analysis|faults|sim|all]
-   (default: all) *)
+                    sidechannel|ablation|telemetry|analysis|faults|sim|
+                    workload|attest|fleet|modelcheck|all]
+   (default: all)
+
+   The sim, workload, attest, fleet and modelcheck groups each write
+   one record, bench-out/<group>.json, and exit 1 exactly when one of
+   its gates fails. Their scale comes from twelve environment knobs:
+   SANCTORUM_SIM_QUOTA; SANCTORUM_WORKLOAD_{CORES,ENCLAVES,ROUNDS}
+   (workload, and attest's churn run); SANCTORUM_ATTEST_{CLIENTS,BATCH,
+   MIN_S}; SANCTORUM_FLEET_{JOBS,TARGET};
+   SANCTORUM_MODELCHECK_{DEPTH,DIFF_DEPTH}; and SANCTORUM_BENCH_BACKEND
+   (sanctum or keystone, default keystone) for attest and fleet. *)
 
 module Hw = Sanctorum_hw
 module Tel = Sanctorum_telemetry
+module J = Tel.Json
 module C = Sanctorum_crypto
 module S = Sanctorum.Sm
 module Img = Sanctorum.Image
 module Atk = Sanctorum_attack
+module W = Sanctorum_workload.Workload
 open Sanctorum_os
 
 (* ------------------------------------------------------------------ *)
-(* Provenance: every machine-readable result records what produced it
-   — backend, seed, git revision and compiler — so a pinned number in
-   the README can be traced to the exact tree that measured it. The
-   git revision comes from [.git/HEAD] directly (following one level
-   of ref indirection); no subprocess, no dependency. *)
+(* Knobs *)
 
+let env parse name default =
+  Option.value (Option.bind (Sys.getenv_opt name) parse) ~default
+
+let env_int = env int_of_string_opt
+
+let bench_backend () =
+  env
+    (function
+      | "sanctum" -> Some Testbed.Sanctum_backend
+      | "keystone" -> Some Testbed.Keystone_backend
+      | _ -> None)
+    "SANCTORUM_BENCH_BACKEND" Testbed.Keystone_backend
+
+(* ------------------------------------------------------------------ *)
+(* The bench record. One schema for every group: what ran (bench,
+   provenance, params), what it measured (rows, one object each), and
+   what it checked (gates). Provenance names the backend, seed, git
+   revision and compiler, so a number quoted in the README can be traced
+   to the exact tree that measured it. Records go to bench-out/, never
+   over the committed BENCH_PR*.json history. *)
+
+(* The git revision comes from [.git/HEAD] directly (following one level
+   of ref indirection); no subprocess, no dependency. *)
 let git_rev () =
   let read_line path =
     try
@@ -52,11 +83,64 @@ let git_rev () =
           match read_line target with "" -> "unknown" | rev -> rev)
       | rev -> rev)
 
-let provenance_json ~backend ~seed =
-  Printf.sprintf
-    "\"provenance\": { \"backend\": %S, \"seed\": %S, \"git_rev\": %S, \
-     \"ocaml_version\": %S }"
-    backend seed (git_rev ()) Sys.ocaml_version
+(* A gate holds when [value >= floor]; a NaN value fails it. *)
+type gate = { name : string; value : float; floor : float }
+
+let passes g = g.value >= g.floor
+
+(* Every one of [oks] must hold: value = how many do, floor = all. *)
+let all_of name oks =
+  {
+    name;
+    value = float (List.length (List.filter Fun.id oks));
+    floor = float (List.length oks);
+  }
+
+let emit ~bench ~backend ~seed ~params ~rows ~gates =
+  let clean = List.for_all passes gates in
+  let record =
+    J.Obj
+      [
+        ("bench", J.String bench);
+        ( "provenance",
+          J.Obj
+            [
+              ("backend", J.String backend);
+              ("seed", J.String seed);
+              ("git_rev", J.String (git_rev ()));
+              ("ocaml_version", J.String Sys.ocaml_version);
+            ] );
+        ("params", J.Obj params);
+        ("rows", J.List rows);
+        ( "gates",
+          J.List
+            (List.map
+               (fun g ->
+                 J.Obj
+                   [
+                     ("name", J.String g.name);
+                     ("value", J.Float g.value);
+                     ("floor", J.Float g.floor);
+                     ("ok", J.Bool (passes g));
+                   ])
+               gates) );
+        ("clean", J.Bool clean);
+      ]
+  in
+  (try Sys.mkdir "bench-out" 0o755 with Sys_error _ -> ());
+  let path = Filename.concat "bench-out" (bench ^ ".json") in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (J.to_string record ^ "\n"));
+  List.iter
+    (fun g ->
+      Printf.printf "  gate %-36s %9.2f >= %-6g %s\n" g.name g.value g.floor
+        (if passes g then "ok" else "FAILED"))
+    gates;
+  Printf.printf "  wrote %s\n" path;
+  if not clean then begin
+    Printf.eprintf "%s bench: a gate failed\n" bench;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel plumbing *)
@@ -477,32 +561,38 @@ let report_ablation () =
     \   re-entry - the price of time-multiplexed cores, SIV-B2)\n"
 
 (* ------------------------------------------------------------------ *)
+(* The telemetry, analysis and faults groups all time one op: enter,
+   16 no-op ecall dispatches, exit, on core 0. *)
+
+let ecall_op tb =
+  let calls =
+    List.concat
+      (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
+  in
+  let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
+  let os = tb.Testbed.os in
+  let eid = i.Os.eid and tid = List.hd i.Os.tids in
+  fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
+
+(* host ns per call of [f], averaged over [iters] calls *)
+let time_per_op ~iters f =
+  let t0 = Sys.time () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Sys.time () -. t0) /. float_of_int iters *. 1e9
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry-backed counters: simulated events per operation alongside
    wall-clock, and the wall-clock overhead of leaving tracing on. *)
 
 let report_telemetry () =
-  let workload tb =
-    let calls =
-      List.concat
-        (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-    in
-    let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
-    let os = tb.Testbed.os in
-    let eid = i.Os.eid and tid = List.hd i.Os.tids in
-    fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
-  in
   let iters = 2000 in
-  let time f =
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e9
-  in
+  let time = time_per_op ~iters in
   (* Traced run: per-op counter deltas from the metrics registry. *)
   let metrics = Tel.Metrics.create () in
   let sink = Tel.Sink.create ~capacity:4096 ~metrics () in
-  let traced_op = workload (Testbed.create ~sink ()) in
+  let traced_op = ecall_op (Testbed.create ~sink ()) in
   traced_op ();
   (* warm-up done; measure from a clean registry *)
   Tel.Metrics.reset metrics;
@@ -538,7 +628,7 @@ let report_telemetry () =
     (per (Tel.Sink.event_count sink));
   Printf.printf "  %-34s %12.0f\n" "wall-clock ns/op (traced)" traced_ns;
   (* Untraced baseline on a fresh, identical stack. *)
-  let plain_op = workload (Testbed.create ()) in
+  let plain_op = ecall_op (Testbed.create ()) in
   plain_op ();
   let plain_ns = time plain_op in
   Printf.printf "  %-34s %12.0f\n" "wall-clock ns/op (tracing off)" plain_ns;
@@ -551,46 +641,30 @@ let report_telemetry () =
 
 let report_analysis () =
   let module An = Sanctorum_analysis in
-  let workload tb =
-    let calls =
-      List.concat
-        (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-    in
-    let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
-    let os = tb.Testbed.os in
-    let eid = i.Os.eid and tid = List.hd i.Os.tids in
-    fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
-  in
-  let time ?(iters = 500) f =
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e9
-  in
+  let time ?(iters = 500) f = time_per_op ~iters f in
   Printf.printf "\n== analysis: invariant-checker cost ==\n";
   (* One snapshot pass over a populated monitor (every pass walks all
      units, page tables, TLBs and caches). *)
   let tb = Testbed.create () in
-  let op = workload tb in
+  let op = ecall_op tb in
   op ();
   let snapshot_ns = time (fun () -> ignore (An.Checker.snapshot tb.Testbed.sm)) in
   Printf.printf "  %-34s %12.0f\n" "snapshot pass ns" snapshot_ns;
   (* Trace passes over a recorded run. *)
   let sink = Tel.Sink.create ~capacity:(1 lsl 16) () in
   let tb_traced = Testbed.create ~sink () in
-  let traced_op = workload tb_traced in
+  let traced_op = ecall_op tb_traced in
   traced_op ();
   let events = Tel.Sink.events sink in
   Printf.printf "  %-34s %12d\n" "trace length (events)" (List.length events);
   let trace_ns = time (fun () -> ignore (An.Checker.trace events)) in
   Printf.printf "  %-34s %12.0f\n" "lock+order trace pass ns" trace_ns;
   (* Workload overhead of --check-invariants. *)
-  let plain_op = workload (Testbed.create ()) in
+  let plain_op = ecall_op (Testbed.create ()) in
   plain_op ();
   let plain_ns = time plain_op in
   let tb_hooked = Testbed.create () in
-  let hooked_op = workload tb_hooked in
+  let hooked_op = ecall_op tb_hooked in
   S.set_post_api_hook tb_hooked.Testbed.sm
     (Some
        (fun ~api:_ ->
@@ -614,26 +688,9 @@ let report_analysis () =
 
 let report_faults () =
   let module F = Sanctorum_faults in
-  let workload tb =
-    let calls =
-      List.concat
-        (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-    in
-    let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
-    let os = tb.Testbed.os in
-    let eid = i.Os.eid and tid = List.hd i.Os.tids in
-    fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
-  in
-  let iters = 2000 in
-  let time f =
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e9
-  in
+  let time = time_per_op ~iters:2000 in
   Printf.printf "\n== faults: fault-hook overhead (hooks idle) ==\n";
-  let plain_op = workload (Testbed.create ()) in
+  let plain_op = ecall_op (Testbed.create ()) in
   plain_op ();
   let plain_ns = time plain_op in
   let tb_idle = Testbed.create () in
@@ -641,7 +698,7 @@ let report_faults () =
     F.Injector.create ~machine:tb_idle.Testbed.machine ~seed:7L ~spec:[] ()
   in
   F.Injector.arm idle;
-  let idle_op = workload tb_idle in
+  let idle_op = ecall_op tb_idle in
   idle_op ();
   let idle_ns = time idle_op in
   let tb_armed = Testbed.create () in
@@ -653,7 +710,7 @@ let report_faults () =
       ()
   in
   F.Injector.arm armed;
-  let armed_op = workload tb_armed in
+  let armed_op = ecall_op tb_armed in
   armed_op ();
   let armed_ns = time armed_op in
   let pct x =
@@ -674,24 +731,21 @@ let report_faults () =
    [bge]/[addi]/[sd]/[jal] storing it back every iteration), the one
    that times the superblock tier's memory-op guards. The architectural
    work (instret) is identical in both tiers — the differential suite
-   proves that — so each MIPS ratio is a pure host-speed ratio. The
-   machine-readable result lands in BENCH_PR12.json for CI.
+   proves that — so each MIPS ratio is a pure host-speed ratio, and the
+   gates sit on the ratios: superblock >= 7x stepped on the fig. 2 loop,
+   >= 4x on the memory loop, each below that loop's own measured ratio.
 
    SANCTORUM_SIM_QUOTA caps the instruction budget per loop (CI smoke
-   runs use a small quota); SANCTORUM_BENCH_JSON overrides the output
-   path. *)
+   runs use a small quota). *)
 
 let report_sim () =
-  let quota =
-    match Sys.getenv_opt "SANCTORUM_SIM_QUOTA" with
-    | Some s -> ( try int_of_string s with _ -> 4_000_000)
-    | None -> 4_000_000
-  in
+  let quota = env_int "SANCTORUM_SIM_QUOTA" 4_000_000 in
   let loops =
     Hw.Isa.
       [
         ( "fig2_loop",
           "fig2 add/bne loop",
+          7.,
           let iters = max 1_000 (quota / 2) in
           ( li t0 iters
             @ [
@@ -703,6 +757,7 @@ let report_sim () =
             iters * 2 ) );
         ( "memory_loop",
           "compute-mix worker loop",
+          4.,
           let iters = max 1_000 (quota / 4) in
           (Sanctorum_workload.Programs.compute_program ~iters, iters * 4) );
       ]
@@ -744,9 +799,9 @@ let report_sim () =
   let mips n s = if s <= 0. then 0. else float_of_int n /. s /. 1e6 in
   let ratio a b = if b = 0. then 0. else a /. b in
   Printf.printf "\n== sim: simulator throughput (superblock vs stepped) ==\n";
-  let rows =
+  let results =
     List.map
-      (fun (key, label, (program, expect)) ->
+      (fun (key, label, floor, (program, expect)) ->
         let (n_super, s_super), (n_slow, s_slow) = measure program in
         if n_super <> n_slow then
           failwith
@@ -758,72 +813,98 @@ let report_sim () =
             (Printf.sprintf "sim bench: %s retired %d < %d instructions" key
                n_super expect);
         let m_super = mips n_super s_super and m_slow = mips n_slow s_slow in
+        let speedup = ratio m_super m_slow in
         Printf.printf "  %s (%d instrs)\n" label n_super;
         Printf.printf "    %-32s %9.3f s %9.2f MIPS\n" "superblock tier" s_super
           m_super;
         Printf.printf "    %-32s %9.3f s %9.2f MIPS\n" "stepped (fast path off)"
           s_slow m_slow;
-        Printf.printf "    %-32s %9.2fx\n" "superblock / stepped"
-          (ratio m_super m_slow);
-        (* one line per loop: CI's gate reads it with sed *)
-        Printf.sprintf
-          "  \"%s\": { \"instructions\": %d, \"superblock\": { \"seconds\": \
-           %.6f, \"mips\": %.2f }, \"stepped\": { \"seconds\": %.6f, \"mips\": \
-           %.2f }, \"speedup_superblock_over_stepped\": %.2f }"
-          key n_super s_super m_super s_slow m_slow (ratio m_super m_slow))
+        Printf.printf "    %-32s %9.2fx\n" "superblock / stepped" speedup;
+        ( J.Obj
+            [
+              ("row", J.String key);
+              ("instructions", J.Int n_super);
+              ("superblock_s", J.Float s_super);
+              ("superblock_mips", J.Float m_super);
+              ("stepped_s", J.Float s_slow);
+              ("stepped_mips", J.Float m_slow);
+              ("speedup_superblock_over_stepped", J.Float speedup);
+            ],
+          { name = key ^ " superblock/stepped"; value = speedup; floor } ))
       loops
   in
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_BENCH_JSON")
-      ~default:"BENCH_PR12.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"sim\",\n  %s,\n%s\n}\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name Testbed.Sanctum_backend)
-       ~seed:"bench-sim")
-    (String.concat ",\n" rows);
-  close_out oc;
-  Printf.printf "  wrote %s\n" path
+  emit ~bench:"sim"
+    ~backend:(Testbed.backend_name Testbed.Sanctum_backend)
+    ~seed:"bench-sim"
+    ~params:[ ("quota", J.Int quota) ]
+    ~rows:(List.map fst results) ~gates:(List.map snd results)
 
 (* ------------------------------------------------------------------ *)
 (* The multicore enclave workload engine: all four mixes through the
    closed loop, with throughput (MIPS, enclave ops/sec) and per-quantum
-   latency percentiles. The machine-readable result lands in
-   BENCH_PR5.json for CI.
+   latency percentiles. SANCTORUM_WORKLOAD_{CORES,ENCLAVES,ROUNDS}
+   scale every engine run the bench makes (CI smoke uses a small
+   matrix). Gate: every mix ends without analysis findings, drained and
+   fully reclaimed. *)
 
-   SANCTORUM_WORKLOAD_{CORES,ENCLAVES,ROUNDS} scale the run (CI smoke
-   uses a small matrix); SANCTORUM_WORKLOAD_JSON overrides the output
-   path. Exits non-zero on any analysis finding or incomplete
-   reclamation, so CI needs no output scraping to stay strict. *)
+let engine_config mix =
+  {
+    W.default with
+    W.cores = env_int "SANCTORUM_WORKLOAD_CORES" W.default.W.cores;
+    enclaves = env_int "SANCTORUM_WORKLOAD_ENCLAVES" W.default.W.enclaves;
+    rounds = env_int "SANCTORUM_WORKLOAD_ROUNDS" W.default.W.rounds;
+    mix;
+  }
+
+let engine_params (cfg : W.config) =
+  [
+    ("cores", J.Int cfg.W.cores);
+    ("enclaves", J.Int cfg.W.enclaves);
+    ("rounds", J.Int cfg.W.rounds);
+  ]
+
+let engine_clean (r : W.report) =
+  r.W.rp_findings = [] && r.W.rp_drained && r.W.rp_reclaimed
+
+let engine_row (r : W.report) =
+  J.Obj
+    [
+      ("row", J.String (W.mix_name r.W.rp_mix));
+      ("installs", J.Int r.W.rp_installs);
+      ("reclaims", J.Int r.W.rp_reclaims);
+      ("exits", J.Int r.W.rp_exits);
+      ("preempts", J.Int r.W.rp_preempts);
+      ("quanta", J.Int r.W.rp_quanta);
+      ("instret", J.Int r.W.rp_instret);
+      ("sim_cycles", J.Int r.W.rp_sim_cycles);
+      ("msgs_sent", J.Int r.W.rp_msgs_sent);
+      ("msgs_received", J.Int r.W.rp_msgs_received);
+      ("wall_s", J.Float r.W.rp_wall_s);
+      ("mips", J.Float r.W.rp_mips);
+      ("enclave_ops_per_sec", J.Float r.W.rp_ops_per_sec);
+      ("quantum_cycles_p50", J.Int r.W.rp_quantum_p50);
+      ("quantum_cycles_p90", J.Int r.W.rp_quantum_p90);
+      ("quantum_cycles_p99", J.Int r.W.rp_quantum_p99);
+      ("meas_cache_hits", J.Int r.W.rp_meas_cache_hits);
+      ("meas_cache_misses", J.Int r.W.rp_meas_cache_misses);
+      ("findings", J.Int (List.length r.W.rp_findings));
+      ("drained", J.Bool r.W.rp_drained);
+      ("reclaimed", J.Bool r.W.rp_reclaimed);
+    ]
 
 let report_workload () =
-  let module W = Sanctorum_workload.Workload in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let cores = env "SANCTORUM_WORKLOAD_CORES" 4 in
-  let enclaves = env "SANCTORUM_WORKLOAD_ENCLAVES" 64 in
-  let rounds = env "SANCTORUM_WORKLOAD_ROUNDS" 1000 in
+  let cfg = engine_config W.default.W.mix in
   Printf.printf
     "\n== workload: multicore enclave engine (%d cores, %d enclaves, %d \
      rounds) ==\n"
-    cores enclaves rounds;
+    cfg.W.cores cfg.W.enclaves cfg.W.rounds;
   Printf.printf "  %-8s %9s %9s %9s %7s %7s %10s %8s %6s %6s %6s\n" "mix"
     "instret" "quanta" "exits" "inst/rc" "msgs" "mips" "ops/s" "p50" "p90"
     "p99";
-  let clean = ref true in
   let reports =
     List.map
       (fun mix ->
-        let r =
-          W.run { W.default with W.cores; enclaves; rounds; mix }
-        in
-        if r.W.rp_findings <> [] || not (r.W.rp_drained && r.W.rp_reclaimed)
-        then clean := false;
+        let r = W.run { cfg with W.mix } in
         Printf.printf
           "  %-8s %9d %9d %9d %3d/%-3d %7d %10.2f %8.1f %6d %6d %6d\n"
           (W.mix_name mix) r.W.rp_instret r.W.rp_quanta r.W.rp_exits
@@ -833,96 +914,33 @@ let report_workload () =
         r)
       W.all_mixes
   in
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_WORKLOAD_JSON")
-      ~default:"BENCH_PR5.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"workload\",\n\
-    \  %s,\n\
-    \  \"cores\": %d,\n\
-    \  \"enclaves\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"mixes\": [\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name W.default.W.backend)
-       ~seed:W.default.W.seed)
-    cores enclaves rounds;
-  List.iteri
-    (fun i (r : W.report) ->
-      Printf.fprintf oc
-        "    { \"mix\": %S, \"installs\": %d, \"reclaims\": %d, \"exits\": \
-         %d,\n\
-        \      \"preempts\": %d, \"quanta\": %d, \"instret\": %d, \
-         \"sim_cycles\": %d,\n\
-        \      \"msgs_sent\": %d, \"msgs_received\": %d,\n\
-        \      \"wall_s\": %.4f, \"mips\": %.3f, \"enclave_ops_per_sec\": \
-         %.2f,\n\
-        \      \"quantum_cycles_p50\": %d, \"quantum_cycles_p90\": %d, \
-         \"quantum_cycles_p99\": %d,\n\
-        \      \"findings\": %d, \"drained\": %b, \"reclaimed\": %b }%s\n"
-        (W.mix_name r.W.rp_mix) r.W.rp_installs r.W.rp_reclaims r.W.rp_exits
-        r.W.rp_preempts r.W.rp_quanta r.W.rp_instret r.W.rp_sim_cycles
-        r.W.rp_msgs_sent r.W.rp_msgs_received r.W.rp_wall_s r.W.rp_mips
-        r.W.rp_ops_per_sec r.W.rp_quantum_p50 r.W.rp_quantum_p90
-        r.W.rp_quantum_p99
-        (List.length r.W.rp_findings)
-        r.W.rp_drained r.W.rp_reclaimed
-        (if i = List.length reports - 1 then "" else ","))
-    reports;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "workload bench: findings or incomplete reclamation\n";
-    exit 1
-  end
+  emit ~bench:"workload"
+    ~backend:(Testbed.backend_name cfg.W.backend)
+    ~seed:cfg.W.seed ~params:(engine_params cfg)
+    ~rows:(List.map engine_row reports)
+    ~gates:[ all_of "clean mixes" (List.map engine_clean reports) ]
 
 (* ------------------------------------------------------------------ *)
-(* The attestation fast path (PR 9): the throughput-grade crypto tier
-   against its retained reference implementations, the measurement
-   cache hot vs cold, the batch attestation service, and the churn mix
-   — whose 34.13 ops/s on the pre-optimization tier (BENCH_PR5.json)
-   is the pinned baseline. The machine-readable result lands in
-   BENCH_PR9.json for CI.
+(* The attestation fast path: the throughput-grade crypto tier against
+   its retained reference implementations, the measurement cache hot vs
+   cold, the batch attestation service, and the churn mix — whose 34.13
+   ops/s on the pre-optimization tier (BENCH_PR5.json) is the pinned
+   baseline it is printed against.
 
    SANCTORUM_ATTEST_{CLIENTS,BATCH} size the service scenario;
-   SANCTORUM_ATTEST_CHURN_{ENCLAVES,ROUNDS} size the churn mix;
-   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota;
-   SANCTORUM_ATTEST_BACKEND picks the platform;
-   SANCTORUM_ATTEST_JSON overrides the output path. Exits non-zero if
-   any scenario is dirty (findings, incomplete reclamation, a verdict
-   out of place, or a cold measurement cache). *)
+   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota; the churn
+   run takes the workload knobs; SANCTORUM_BENCH_BACKEND picks the
+   platform. Gates: verify >= 10x the reference, the measurement cache
+   hits (micro-op and churn), and every scenario clean (no findings,
+   full reclamation, every verdict in place). *)
 
 let report_attest () =
-  let module W = Sanctorum_workload.Workload in
   let module Asv = Sanctorum_workload.Attest_service in
   let module M = Sanctorum.Measurement in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let clients = env "SANCTORUM_ATTEST_CLIENTS" 96 in
-  let batch = env "SANCTORUM_ATTEST_BATCH" 16 in
-  let backend =
-    match Sys.getenv_opt "SANCTORUM_ATTEST_BACKEND" with
-    | Some "sanctum" -> Testbed.Sanctum_backend
-    | Some "keystone" -> Testbed.Keystone_backend
-    | _ -> W.default.W.backend
-  in
-  let churn_enclaves = env "SANCTORUM_ATTEST_CHURN_ENCLAVES" 64 in
-  let churn_rounds = env "SANCTORUM_ATTEST_CHURN_ROUNDS" 1000 in
-  let min_s =
-    match Sys.getenv_opt "SANCTORUM_ATTEST_MIN_S" with
-    | Some s -> ( try float_of_string s with _ -> 0.3)
-    | None -> 0.3
-  in
-  let dirty = ref [] in
-  let flag what = dirty := what :: !dirty in
+  let clients = env_int "SANCTORUM_ATTEST_CLIENTS" 96 in
+  let batch = env_int "SANCTORUM_ATTEST_BATCH" 16 in
+  let min_s = env float_of_string_opt "SANCTORUM_ATTEST_MIN_S" 0.3 in
+  let backend = bench_backend () in
   (* -- crypto micro-ops, wall-clock against the retained references -- *)
   let time_ns f =
     ignore (f ());
@@ -966,7 +984,6 @@ let report_attest () =
     batch_n;
   Printf.printf "  %-36s %12.2fx vs single verify\n" "batch speedup"
     (verify_ns /. batch_item_ns);
-  if verify_ref_ns /. verify_ns < 10. then flag "verify speedup below 10x";
   (* -- the measurement cache, cold vs hot on a 4-page transcript -- *)
   let measure cache =
     let t = M.start () in
@@ -987,7 +1004,6 @@ let report_attest () =
   let hot_ns = time_ns (fun () -> measure (Some cache)) in
   Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cold)" cold_ns;
   Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cached)" hot_ns;
-  if M.Cache.hits cache = 0 then flag "measurement cache never hit";
   (* -- the attestation service at scale, honest and tampered -- *)
   Printf.printf "\n== attest: batch attestation service ==\n";
   Printf.printf "  %-10s %8s %9s %9s %8s %8s %11s %6s\n" "scenario" "clients"
@@ -999,275 +1015,135 @@ let report_attest () =
     Printf.printf "  %-10s %8d %9d %9d %8d %8d %11.1f %6b\n" label
       r.Asv.ar_clients r.Asv.ar_verified r.Asv.ar_rejected r.Asv.ar_batches
       r.Asv.ar_signs r.Asv.ar_clients_per_sec r.Asv.ar_clean;
-    if not r.Asv.ar_clean then flag (label ^ " service scenario dirty");
-    r
+    ( r.Asv.ar_clean,
+      J.Obj
+        [
+          ("row", J.String label);
+          ("clients", J.Int r.Asv.ar_clients);
+          ("tamper_every", J.Int tamper_every);
+          ("verified", J.Int r.Asv.ar_verified);
+          ("rejected", J.Int r.Asv.ar_rejected);
+          ("tampered", J.Int r.Asv.ar_tampered);
+          ("batches", J.Int r.Asv.ar_batches);
+          ("signs", J.Int r.Asv.ar_signs);
+          ("batch_verifies", J.Int r.Asv.ar_batch_verifies);
+          ("cache_hits", J.Int r.Asv.ar_cache_hits);
+          ("wall_s", J.Float r.Asv.ar_wall_s);
+          ("clients_per_sec", J.Float r.Asv.ar_clients_per_sec);
+          ("findings", J.Int r.Asv.ar_findings);
+          ("clean", J.Bool r.Asv.ar_clean);
+        ] )
   in
-  let honest = service "honest" 0 in
-  let tampered = service "tampered" 8 in
+  let honest_clean, honest = service "honest" 0 in
+  let tampered_clean, tampered = service "tampered" 8 in
   (* -- the churn mix against its pinned pre-optimization baseline -- *)
   let baseline = 34.13 in
+  let churn_cfg = { (engine_config W.Churn) with W.backend } in
   Printf.printf "\n== attest: churn mix vs BENCH_PR5 baseline ==\n";
-  let churn =
-    W.run
-      {
-        W.default with
-        W.mix = W.Churn;
-        W.enclaves = churn_enclaves;
-        W.rounds = churn_rounds;
-        W.backend = backend;
-      }
-  in
-  if
-    churn.W.rp_findings <> []
-    || not (churn.W.rp_drained && churn.W.rp_reclaimed)
-  then flag "churn mix dirty";
-  if churn.W.rp_meas_cache_hits = 0 then flag "churn never hit the cache";
+  let churn = W.run churn_cfg in
   Printf.printf "  %-36s %12.2f ops/s (pinned, pre-optimization)\n"
     "baseline (BENCH_PR5 churn)" baseline;
   Printf.printf "  %-36s %12.2f ops/s\n" "churn now" churn.W.rp_ops_per_sec;
   Printf.printf "  %-36s %12.2fx\n" "speedup" (churn.W.rp_ops_per_sec /. baseline);
   Printf.printf "  %-36s %9d hits %9d misses\n" "measurement cache"
     churn.W.rp_meas_cache_hits churn.W.rp_meas_cache_misses;
-  (* -- machine-readable result -- *)
-  let path =
-    Option.value (Sys.getenv_opt "SANCTORUM_ATTEST_JSON")
-      ~default:"BENCH_PR9.json"
-  in
-  let oc = open_out path in
-  let service_json label tamper_every (r : Asv.report) =
-    Printf.sprintf
-      "    { \"scenario\": %S, \"clients\": %d, \"batch\": %d, \
-       \"tamper_every\": %d,\n\
-      \      \"verified\": %d, \"rejected\": %d, \"tampered\": %d, \
-       \"batches\": %d,\n\
-      \      \"signs\": %d, \"batch_verifies\": %d, \"cache_hits\": %d,\n\
-      \      \"wall_s\": %.4f, \"clients_per_sec\": %.1f, \"findings\": %d, \
-       \"clean\": %b }"
-      label r.Asv.ar_clients batch tamper_every r.Asv.ar_verified
-      r.Asv.ar_rejected r.Asv.ar_tampered r.Asv.ar_batches r.Asv.ar_signs
-      r.Asv.ar_batch_verifies r.Asv.ar_cache_hits r.Asv.ar_wall_s
-      r.Asv.ar_clients_per_sec r.Asv.ar_findings r.Asv.ar_clean
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"attest\",\n\
-    \  %s,\n\
-    \  \"micro_ns\": { \"keygen\": %.0f, \"sign\": %.0f, \"verify\": %.0f,\n\
-    \    \"verify_reference\": %.0f, \"verify_speedup\": %.2f,\n\
-    \    \"batch_item\": %.0f, \"batch_n\": %d, \"batch_vs_single\": %.2f,\n\
-    \    \"measurement_cold\": %.0f, \"measurement_hot\": %.0f },\n\
-    \  \"service\": [\n%s,\n%s\n  ],\n\
-    \  \"churn\": { \"baseline_ops_per_sec\": %.2f,\n\
-    \    \"baseline_source\": \"BENCH_PR5.json churn (pre-optimization \
-     tier, same config)\",\n\
-    \    \"enclaves\": %d, \"rounds\": %d,\n\
-    \    \"ops_per_sec\": %.2f, \"speedup\": %.2f, \"wall_s\": %.4f,\n\
-    \    \"installs\": %d, \"reclaims\": %d,\n\
-    \    \"meas_cache_hits\": %d, \"meas_cache_misses\": %d,\n\
-    \    \"findings\": %d, \"drained\": %b, \"reclaimed\": %b }\n\
-     }\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name backend)
-       ~seed:W.default.W.seed)
-    keygen_ns sign_ns verify_ns verify_ref_ns
-    (verify_ref_ns /. verify_ns)
-    batch_item_ns batch_n
-    (verify_ns /. batch_item_ns)
-    cold_ns hot_ns
-    (service_json "honest" 0 honest)
-    (service_json "tampered" 8 tampered)
-    baseline churn_enclaves churn_rounds churn.W.rp_ops_per_sec
-    (churn.W.rp_ops_per_sec /. baseline)
-    churn.W.rp_wall_s churn.W.rp_installs churn.W.rp_reclaims
-    churn.W.rp_meas_cache_hits churn.W.rp_meas_cache_misses
-    (List.length churn.W.rp_findings)
-    churn.W.rp_drained churn.W.rp_reclaimed;
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if !dirty <> [] then begin
-    List.iter (Printf.eprintf "attest bench: %s\n") !dirty;
-    exit 1
-  end
+  emit ~bench:"attest"
+    ~backend:(Testbed.backend_name backend)
+    ~seed:churn_cfg.W.seed
+    ~params:
+      ([
+         ("clients", J.Int clients);
+         ("batch", J.Int batch);
+         ("min_s", J.Float min_s);
+         ("batch_n", J.Int batch_n);
+         ("churn_baseline_ops_per_sec", J.Float baseline);
+       ]
+      @ engine_params churn_cfg)
+    ~rows:
+      [
+        J.Obj
+          [
+            ("row", J.String "micro_ns");
+            ("keygen", J.Float keygen_ns);
+            ("sign", J.Float sign_ns);
+            ("verify", J.Float verify_ns);
+            ("verify_reference", J.Float verify_ref_ns);
+            ("batch_item", J.Float batch_item_ns);
+            ("measurement_cold", J.Float cold_ns);
+            ("measurement_hot", J.Float hot_ns);
+          ];
+        honest;
+        tampered;
+        engine_row churn;
+      ]
+    ~gates:
+      [
+        {
+          name = "verify speedup vs reference";
+          value = verify_ref_ns /. verify_ns;
+          floor = 10.;
+        };
+        {
+          name = "measurement cache hits";
+          value = float (M.Cache.hits cache);
+          floor = 1.;
+        };
+        {
+          name = "churn measurement cache hits";
+          value = float churn.W.rp_meas_cache_hits;
+          floor = 1.;
+        };
+        all_of "clean scenarios"
+          [ honest_clean; tampered_clean; engine_clean churn ];
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* The fleet layer: the same total work — compute mix, a fixed job
    count, a fixed fleet-wide enclave population — pushed through 1, 2
-   and 4 shards, each shard one OCaml domain with its own machine.
+   and 4 shards, each shard one OCaml domain with its own machine, then
+   the 4-shard run again over a lossy and a fully hostile link.
    Scaling comes from two directions at once: the domains run in
    parallel, and each shard simulates a machine with 1/N of the
    enclave state (fewer PMP entries to walk per switch, smaller
-   tables), so the curve is meaningful even on a single host core.
-   The machine-readable result lands in BENCH_PR6.json for CI.
+   tables), so the curve is meaningful even on a single host core. The
+   chaos cost is chaos-4 wall over quiet-4 wall from the same run.
 
-   SANCTORUM_FLEET_{JOBS,TARGET,CORES} scale the run;
-   SANCTORUM_FLEET_BACKEND picks the platform; SANCTORUM_FLEET_JSON
-   overrides the output path. Exits non-zero if any scale is dirty. *)
+   SANCTORUM_FLEET_{JOBS,TARGET} scale the run; SANCTORUM_BENCH_BACKEND
+   picks the platform. Gate: every row clean (no findings, every job
+   accounted). *)
 
 let report_fleet () =
   let module Fl = Sanctorum_fleet.Cluster in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let jobs = env "SANCTORUM_FLEET_JOBS" 64 in
-  let target = env "SANCTORUM_FLEET_TARGET" 40 in
-  let cores = env "SANCTORUM_FLEET_CORES" 4 in
-  let backend =
-    match Sys.getenv_opt "SANCTORUM_FLEET_BACKEND" with
-    | Some "sanctum" -> Testbed.Sanctum_backend
-    | _ -> Testbed.Keystone_backend
-  in
-  let scales = [ 1; 2; 4 ] in
-  Printf.printf
-    "\n== fleet: domain-parallel shards (%s, %d jobs, target %d, %d \
-     cores/shard) ==\n"
-    (Testbed.backend_name backend)
-    jobs target cores;
-  Printf.printf "  %-7s %9s %7s %7s %10s %9s %6s %6s %6s %6s\n" "shards"
-    "instret" "gens" "wall-s" "mips" "ops/s" "p50" "p90" "p99" "clean";
-  let clean = ref true in
-  let outcomes =
-    List.map
-      (fun shards ->
-        let o =
-          Fl.run
-            {
-              Fl.default with
-              Fl.seed = "bench-fleet";
-              backend;
-              shards;
-              cores;
-              enclaves = max 2 (jobs / shards);
-              jobs;
-              target;
-              mix = Sanctorum_workload.Programs.Compute;
-              (* high enough that every scale finishes in one
-                 generation: nothing is migrated, so each scale
-                 executes the identical set of (jid, seed, target)
-                 jobs to completion — same total work by construction *)
-              batch_rounds = env "SANCTORUM_FLEET_BATCH_ROUNDS" 40_000;
-            }
-        in
-        if not o.Fl.r_clean then clean := false;
-        Printf.printf "  %-7d %9d %7d %7.3f %10.2f %9.1f %6d %6d %6d %6b\n"
-          shards o.Fl.r_instret o.Fl.r_generations o.Fl.r_wall_s o.Fl.r_mips
-          o.Fl.r_ops_per_sec o.Fl.r_p50 o.Fl.r_p90 o.Fl.r_p99 o.Fl.r_clean;
-        (shards, o))
-      scales
-  in
-  let ratio f =
-    match (List.assoc_opt 1 outcomes, List.assoc_opt 4 outcomes) with
-    | Some a, Some b when f a > 0. -> f b /. f a
-    | _ -> 0.
-  in
-  let mips_x = ratio (fun o -> o.Fl.r_mips) in
-  let ops_x = ratio (fun o -> o.Fl.r_ops_per_sec) in
-  Printf.printf "  %-34s %9.2fx mips %9.2fx ops/s\n" "4-shard scaling"
-    mips_x ops_x;
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_FLEET_JSON")
-      ~default:"BENCH_PR6.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"fleet\",\n\
-    \  %s,\n\
-    \  \"jobs\": %d,\n\
-    \  \"target\": %d,\n\
-    \  \"cores_per_shard\": %d,\n\
-    \  \"mix\": \"compute\",\n\
-    \  \"scales\": [\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name backend)
-       ~seed:"bench-fleet")
-    jobs target cores;
-  List.iteri
-    (fun i (shards, (o : Fl.outcome)) ->
-      Printf.fprintf oc
-        "    { \"shards\": %d, \"enclaves_per_shard\": %d, \"jobs_completed\": \
-         %d,\n\
-        \      \"jobs_failed_closed\": %d, \"generations\": %d, \"instret\": \
-         %d,\n\
-        \      \"wall_s\": %.4f, \"mips\": %.3f, \"enclave_ops_per_sec\": \
-         %.2f,\n\
-        \      \"quantum_cycles_p50\": %d, \"quantum_cycles_p90\": %d, \
-         \"quantum_cycles_p99\": %d,\n\
-        \      \"findings\": %d, \"accounted\": %b, \"clean\": %b }%s\n"
-        shards
-        (max 2 (jobs / shards))
-        (List.length o.Fl.r_completed)
-        (List.length o.Fl.r_failed_closed)
-        o.Fl.r_generations o.Fl.r_instret o.Fl.r_wall_s o.Fl.r_mips
-        o.Fl.r_ops_per_sec o.Fl.r_p50 o.Fl.r_p90 o.Fl.r_p99 o.Fl.r_findings
-        o.Fl.r_accounted o.Fl.r_clean
-        (if i = List.length outcomes - 1 then "" else ","))
-    outcomes;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"scaling_4x\": { \"mips\": %.2f, \"enclave_ops_per_sec\": %.2f }\n\
-     }\n"
-    mips_x ops_x;
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "fleet bench: a scale ended dirty\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The fleet transport: the same workload as the fleet bench — same
-   seed, jobs, target, enclave split, so the rows are comparable
-   one-for-one with BENCH_PR6.json — first with the link quiet (every
-   protocol timer quiesced: the faults-off overhead of carrying the
-   session layer must be within run-to-run noise of the PR6 baseline)
-   and then under escalating fault specs, where the interesting number
-   is how little wall-clock the retransmit/dedup machinery costs to
-   absorb the chaos. The machine-readable result lands in
-   BENCH_PR8.json for CI.
-
-   SANCTORUM_FLEETNET_{JOBS,TARGET,CORES} scale the run;
-   SANCTORUM_FLEETNET_BACKEND picks the platform;
-   SANCTORUM_FLEETNET_JSON overrides the output path. Exits non-zero
-   if any row is dirty. *)
-
-let report_fleetnet () =
-  let module Fl = Sanctorum_fleet.Cluster in
   let module Nf = Sanctorum_fleet.Netfault in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let jobs = env "SANCTORUM_FLEETNET_JOBS" 64 in
-  let target = env "SANCTORUM_FLEETNET_TARGET" 40 in
-  let cores = env "SANCTORUM_FLEETNET_CORES" 4 in
-  let backend =
-    match Sys.getenv_opt "SANCTORUM_FLEETNET_BACKEND" with
-    | Some "sanctum" -> Testbed.Sanctum_backend
-    | _ -> Testbed.Keystone_backend
-  in
+  let jobs = env_int "SANCTORUM_FLEET_JOBS" 64 in
+  let target = env_int "SANCTORUM_FLEET_TARGET" 40 in
+  let backend = bench_backend () in
+  let cores = 4 in
+  (* high enough that every row finishes in one generation: nothing is
+     migrated, so each row executes the identical set of (jid, seed,
+     target) jobs to completion — same total work by construction *)
+  let batch_rounds = 40_000 in
   let rows =
     [
-      ("off-1", 1, "none");
-      ("off-4", 4, "none");
+      ("quiet-1", 1, "none");
+      ("quiet-2", 2, "none");
+      ("quiet-4", 4, "none");
       ("loss-4", 4, "drop:3,dup:2,reorder:1");
       ("chaos-4", 4, "all");
     ]
   in
   Printf.printf
-    "\n== fleetnet: reliable sessions over a hostile link (%s, %d jobs, \
-     target %d, %d cores/shard) ==\n"
+    "\n== fleet: domain-parallel shards (%s, %d jobs, target %d, %d \
+     cores/shard) ==\n"
     (Testbed.backend_name backend)
     jobs target cores;
-  Printf.printf "  %-9s %7s %7s %10s %9s %7s %7s %6s\n" "row" "shards"
-    "wall-s" "mips" "ops/s" "retx" "rejects" "clean";
-  let clean = ref true in
+  Printf.printf "  %-8s %6s %9s %5s %7s %8s %8s %5s %5s %5s %5s %7s %6s\n"
+    "row" "shards" "instret" "gens" "wall-s" "mips" "ops/s" "p50" "p90" "p99"
+    "retx" "rejects" "clean";
   let outcomes =
     List.map
       (fun (label, shards, spec) ->
+        let enclaves = max 2 (jobs / shards) in
         let o =
           Fl.run
             {
@@ -1276,174 +1152,104 @@ let report_fleetnet () =
               backend;
               shards;
               cores;
-              enclaves = max 2 (jobs / shards);
+              enclaves;
               jobs;
               target;
               mix = Sanctorum_workload.Programs.Compute;
-              batch_rounds = env "SANCTORUM_FLEETNET_BATCH_ROUNDS" 40_000;
+              batch_rounds;
               net = Result.get_ok (Nf.parse spec);
             }
         in
-        if not o.Fl.r_clean then clean := false;
-        let c n = try List.assoc n o.Fl.r_counters with Not_found -> 0 in
-        let rejects =
-          c "net.hmac_rejects" + c "net.stale_rejected"
-          + c "fleet.attest.rejected"
-        in
-        Printf.printf "  %-9s %7d %7.3f %10.2f %9.1f %7d %7d %6b\n" label
-          shards o.Fl.r_wall_s o.Fl.r_mips o.Fl.r_ops_per_sec
-          (c "net.retransmits") rejects o.Fl.r_clean;
-        (label, shards, spec, o))
+        let c n = Option.value (List.assoc_opt n o.Fl.r_counters) ~default:0 in
+        Printf.printf
+          "  %-8s %6d %9d %5d %7.3f %8.2f %8.1f %5d %5d %5d %5d %7d %6b\n" label
+          shards o.Fl.r_instret o.Fl.r_generations o.Fl.r_wall_s o.Fl.r_mips
+          o.Fl.r_ops_per_sec o.Fl.r_p50 o.Fl.r_p90 o.Fl.r_p99
+          (c "net.retransmits")
+          (c "net.hmac_rejects" + c "net.stale_rejected"
+          + c "fleet.attest.rejected")
+          o.Fl.r_clean;
+        ( label,
+          o,
+          J.Obj
+            [
+              ("row", J.String label);
+              ("shards", J.Int shards);
+              ("net_faults", J.String spec);
+              ("enclaves_per_shard", J.Int enclaves);
+              ("jobs_completed", J.Int (List.length o.Fl.r_completed));
+              ("jobs_failed_closed", J.Int (List.length o.Fl.r_failed_closed));
+              ("generations", J.Int o.Fl.r_generations);
+              ("instret", J.Int o.Fl.r_instret);
+              ("wall_s", J.Float o.Fl.r_wall_s);
+              ("mips", J.Float o.Fl.r_mips);
+              ("enclave_ops_per_sec", J.Float o.Fl.r_ops_per_sec);
+              ("quantum_cycles_p50", J.Int o.Fl.r_p50);
+              ("quantum_cycles_p90", J.Int o.Fl.r_p90);
+              ("quantum_cycles_p99", J.Int o.Fl.r_p99);
+              ("retransmits", J.Int (c "net.retransmits"));
+              ("dups_dropped", J.Int (c "net.dups_dropped"));
+              ("hmac_rejects", J.Int (c "net.hmac_rejects"));
+              ("link_dropped", J.Int (c "net.link.dropped"));
+              ("link_corrupted", J.Int (c "net.link.corrupted"));
+              ("link_reordered", J.Int (c "net.link.reordered"));
+              ("findings", J.Int o.Fl.r_findings);
+              ("accounted", J.Bool o.Fl.r_accounted);
+              ("clean", J.Bool o.Fl.r_clean);
+            ] ))
       rows
   in
-  let wall label =
-    match
-      List.find_opt (fun (l, _, _, _) -> l = label) outcomes
-    with
-    | Some (_, _, _, o) -> o.Fl.r_wall_s
-    | None -> 0.
+  let ratio f a b =
+    let find l =
+      let _, o, _ = List.find (fun (l', _, _) -> l' = l) outcomes in
+      f o
+    in
+    if find a > 0. then find b /. find a else 0.
   in
-  let chaos_x = if wall "off-4" > 0. then wall "chaos-4" /. wall "off-4" else 0. in
-  (* the PR6 baseline ran the identical off-4 workload without the
-     transport; its recorded mips anchors the faults-off overhead claim *)
-  let pr6_mips =
-    try
-      let ic = open_in "BENCH_PR6.json" in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      let anchor = {|"shards": 4|} in
-      let rec find i =
-        if i + String.length anchor > String.length s then None
-        else if String.sub s i (String.length anchor) = anchor then Some i
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some i -> (
-          let key = {|"mips": |} in
-          let rec find_key j =
-            if j + String.length key > String.length s then None
-            else if String.sub s j (String.length key) = key then
-              Some (j + String.length key)
-            else find_key (j + 1)
-          in
-          match find_key i with
-          | None -> None
-          | Some j ->
-              let k = ref j in
-              while
-                !k < String.length s
-                && (match s.[!k] with
-                   | '0' .. '9' | '.' | '-' -> true
-                   | _ -> false)
-              do
-                incr k
-              done;
-              float_of_string_opt (String.sub s j (!k - j)))
-    with _ -> None
-  in
-  let off4_mips =
-    match List.find_opt (fun (l, _, _, _) -> l = "off-4") outcomes with
-    | Some (_, _, _, o) -> o.Fl.r_mips
-    | None -> 0.
-  in
-  (match pr6_mips with
-  | Some m when m > 0. ->
-      Printf.printf
-        "  %-34s %9.2fx vs BENCH_PR6 4-shard mips (1.00 = no overhead)\n"
-        "faults-off throughput" (off4_mips /. m)
-  | _ -> Printf.printf "  (no BENCH_PR6.json baseline in cwd)\n");
-  Printf.printf "  %-34s %9.2fx wall vs faults-off\n" "full chaos cost"
-    chaos_x;
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_FLEETNET_JSON")
-      ~default:"BENCH_PR8.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"fleetnet\",\n\
-    \  %s,\n\
-    \  \"jobs\": %d,\n\
-    \  \"target\": %d,\n\
-    \  \"cores_per_shard\": %d,\n\
-    \  \"mix\": \"compute\",\n\
-    \  \"baseline\": \"BENCH_PR6.json (same seed, jobs, target, enclave \
-     split)\",\n\
-    \  \"rows\": [\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name backend)
-       ~seed:"bench-fleet")
-    jobs target cores;
-  List.iteri
-    (fun i (label, shards, spec, (o : Fl.outcome)) ->
-      let c n = try List.assoc n o.Fl.r_counters with Not_found -> 0 in
-      Printf.fprintf oc
-        "    { \"row\": %S, \"shards\": %d, \"net_faults\": %S,\n\
-        \      \"jobs_completed\": %d, \"jobs_failed_closed\": %d, \
-         \"generations\": %d,\n\
-        \      \"wall_s\": %.4f, \"mips\": %.3f, \"enclave_ops_per_sec\": \
-         %.2f,\n\
-        \      \"retransmits\": %d, \"dups_dropped\": %d, \"hmac_rejects\": \
-         %d,\n\
-        \      \"link_dropped\": %d, \"link_corrupted\": %d, \
-         \"link_reordered\": %d,\n\
-        \      \"findings\": %d, \"accounted\": %b, \"clean\": %b }%s\n"
-        label shards spec
-        (List.length o.Fl.r_completed)
-        (List.length o.Fl.r_failed_closed)
-        o.Fl.r_generations o.Fl.r_wall_s o.Fl.r_mips o.Fl.r_ops_per_sec
-        (c "net.retransmits") (c "net.dups_dropped") (c "net.hmac_rejects")
-        (c "net.link.dropped") (c "net.link.corrupted")
-        (c "net.link.reordered") o.Fl.r_findings o.Fl.r_accounted o.Fl.r_clean
-        (if i = List.length outcomes - 1 then "" else ","))
-    outcomes;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"faults_off_vs_pr6_mips\": %s,\n\
-    \  \"chaos_wall_vs_off\": %.3f\n\
-     }\n"
-    (match pr6_mips with
-    | Some m when m > 0. -> Printf.sprintf "%.3f" (off4_mips /. m)
-    | _ -> "null")
-    chaos_x;
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "fleetnet bench: a row ended dirty\n";
-    exit 1
-  end
+  Printf.printf "  %-34s %9.2fx mips %9.2fx ops/s\n" "4-shard scaling"
+    (ratio (fun o -> o.Fl.r_mips) "quiet-1" "quiet-4")
+    (ratio (fun o -> o.Fl.r_ops_per_sec) "quiet-1" "quiet-4");
+  Printf.printf "  %-34s %9.2fx wall vs quiet-4\n" "full chaos cost"
+    (ratio (fun o -> o.Fl.r_wall_s) "quiet-4" "chaos-4");
+  emit ~bench:"fleet"
+    ~backend:(Testbed.backend_name backend)
+    ~seed:"bench-fleet"
+    ~params:
+      [
+        ("jobs", J.Int jobs);
+        ("target", J.Int target);
+        ("cores_per_shard", J.Int cores);
+        ("batch_rounds", J.Int batch_rounds);
+        ("mix", J.String "compute");
+      ]
+    ~rows:(List.map (fun (_, _, row) -> row) outcomes)
+    ~gates:
+      [
+        all_of "clean rows"
+          (List.map (fun (_, o, _) -> o.Fl.r_clean) outcomes);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* The bounded model checker: exploration throughput (states/sec) and
    dedup hit-rate on both backends, plus one cross-backend differential
    run. The state count and digest are deterministic in the geometry,
-   so the JSON doubles as a regression anchor: a digest change means
-   the explored space changed. The machine-readable result lands in
-   BENCH_PR7.json for CI.
+   so the record doubles as a regression anchor: a digest change means
+   the explored space changed.
 
    SANCTORUM_MODELCHECK_DEPTH / _DIFF_DEPTH scale the run (CI smoke
-   uses small depths); SANCTORUM_MODELCHECK_JSON overrides the output
-   path. Exits non-zero on any finding: the explored region must be
-   catalog-silent and verdict-identical across backends. *)
+   uses small depths). Gate: no finding in any run — the explored
+   region must be catalog-silent and verdict-identical across
+   backends. *)
 
 let report_modelcheck () =
   let module M = Sanctorum_analysis.Modelcheck in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let depth = env "SANCTORUM_MODELCHECK_DEPTH" 4 in
-  let diff_depth = env "SANCTORUM_MODELCHECK_DIFF_DEPTH" 3 in
+  let depth = env_int "SANCTORUM_MODELCHECK_DEPTH" 4 in
+  let diff_depth = env_int "SANCTORUM_MODELCHECK_DIFF_DEPTH" 3 in
   Printf.printf
     "\n== modelcheck: bounded SM API exploration (depth %d, diff depth %d) ==\n"
     depth diff_depth;
   Printf.printf "  %-22s %8s %9s %7s %9s %8s %9s\n" "run" "states" "edges"
     "dedup" "hit-rate" "wall-s" "states/s";
-  let clean = ref true in
   let run label cfg =
     let t0 = Unix.gettimeofday () in
     let s = M.explore cfg in
@@ -1452,59 +1258,48 @@ let report_modelcheck () =
     let hit_rate =
       if ok_edges = 0 then 0. else float s.M.s_dedup_hits /. float ok_edges
     in
-    if s.M.s_findings_total > 0 then clean := false;
+    let states_per_sec = if wall <= 0. then 0. else float s.M.s_states /. wall in
     Printf.printf "  %-22s %8d %9d %7d %8.1f%% %8.2f %9.0f\n" label
       s.M.s_states s.M.s_edges s.M.s_dedup_hits (100. *. hit_rate) wall
-      (if wall <= 0. then 0. else float s.M.s_states /. wall);
-    (label, cfg, s, wall, hit_rate)
+      states_per_sec;
+    ( s.M.s_findings_total = 0,
+      J.Obj
+        [
+          ("row", J.String label);
+          ("backend", J.String (M.backend_name cfg.M.backend));
+          ("diff", J.Bool cfg.M.diff);
+          ("depth", J.Int cfg.M.depth);
+          ("states", J.Int s.M.s_states);
+          ("edges", J.Int s.M.s_edges);
+          ("dedup_hits", J.Int s.M.s_dedup_hits);
+          ("dedup_hit_rate", J.Float hit_rate);
+          ("truncated", J.Bool s.M.s_truncated);
+          ("findings", J.Int s.M.s_findings_total);
+          ("state_digest", J.String s.M.s_state_digest);
+          ("wall_s", J.Float wall);
+          ("states_per_sec", J.Float states_per_sec);
+        ] )
   in
   let runs =
-    [
-      run "sanctum" { M.default_config with depth };
-      run "keystone" { M.default_config with depth; backend = M.Keystone };
-      run "sanctum-vs-keystone"
-        { M.default_config with depth = diff_depth; diff = true };
-    ]
+    List.map
+      (fun (label, cfg) -> run label cfg)
+      [
+        ("sanctum", { M.default_config with depth });
+        ("keystone", { M.default_config with depth; backend = M.Keystone });
+        ( "sanctum-vs-keystone",
+          { M.default_config with depth = diff_depth; diff = true } );
+      ]
   in
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_MODELCHECK_JSON")
-      ~default:"BENCH_PR7.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"modelcheck\",\n\
-    \  %s,\n\
-    \  \"depth\": %d,\n\
-    \  \"diff_depth\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"units\": %d,\n\
-    \  \"runs\": [\n"
-    (provenance_json ~backend:"sanctum+keystone" ~seed:"modelcheck")
-    depth diff_depth M.default_config.M.cores M.default_config.M.units;
-  List.iteri
-    (fun i (label, (cfg : M.config), (s : M.summary), wall, hit_rate) ->
-      Printf.fprintf oc
-        "    { \"run\": %S, \"backend\": %S, \"diff\": %b, \"depth\": %d,\n\
-        \      \"states\": %d, \"edges\": %d, \"dedup_hits\": %d, \
-         \"dedup_hit_rate\": %.4f,\n\
-        \      \"truncated\": %b, \"findings\": %d, \"state_digest\": %S,\n\
-        \      \"wall_s\": %.4f, \"states_per_sec\": %.1f }%s\n"
-        label
-        (M.backend_name cfg.M.backend)
-        cfg.M.diff cfg.M.depth s.M.s_states s.M.s_edges s.M.s_dedup_hits
-        hit_rate s.M.s_truncated s.M.s_findings_total s.M.s_state_digest wall
-        (if wall <= 0. then 0. else float s.M.s_states /. wall)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "modelcheck bench: findings in the explored region\n";
-    exit 1
-  end
+  emit ~bench:"modelcheck" ~backend:"sanctum+keystone" ~seed:"modelcheck"
+    ~params:
+      [
+        ("depth", J.Int depth);
+        ("diff_depth", J.Int diff_depth);
+        ("cores", J.Int M.default_config.M.cores);
+        ("units", J.Int M.default_config.M.units);
+      ]
+    ~rows:(List.map snd runs)
+    ~gates:[ all_of "finding-free runs" (List.map fst runs) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1528,7 +1323,6 @@ let groups =
     ("workload", report_workload);
     ("attest", report_attest);
     ("fleet", report_fleet);
-    ("fleetnet", report_fleetnet);
     ("modelcheck", report_modelcheck);
   ]
 

@@ -61,9 +61,11 @@ let () =
   let telemetry = dir "lib/telemetry" in
   let analysis = dir "lib/analysis" in
   let faults = dir "lib/faults" in
+  let workload = dir "lib/workload" in
+  let fleet = dir "lib/fleet" in
   let total =
     core + crypto + hw + platform + util + os + attack + telemetry + analysis
-    + faults
+    + faults + workload + fleet
   in
   Printf.printf "T1: trusted code base size (cf. paper §VII-A)\n";
   Printf.printf "%-34s %8s %14s\n" "component" "LOC" "paper analogue";
@@ -78,6 +80,8 @@ let () =
   row "telemetry (lib/telemetry)" telemetry "(tooling)";
   row "invariant checker (lib/analysis)" analysis "(tooling)";
   row "fault injection (lib/faults)" faults "(tooling)";
+  row "workload engine (lib/workload)" workload "(tooling)";
+  row "fleet (lib/fleet)" fleet "(tooling)";
   Printf.printf "%-34s %8d %14s\n" "total" total "5785";
   Printf.printf
     "\nTCB in this model = monitor core + crypto + platform glue = %d LOC\n"

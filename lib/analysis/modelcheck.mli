@@ -5,7 +5,7 @@
     every mutation a sequence of API calls has made to it; an action
     is one API call drawn from a small closed parameter domain (≤2
     enclaves, ≤2 threads, ≤2 memory-unit groups, 1–2 cores). From the
-    initial state — boot, plus the {!bringup} scenario unless the
+    initial state — boot, plus the bring-up scenario unless the
     configuration asks for a cold start — {!explore} enumerates every
     action at every state up
     to a depth bound, deduplicating states by a canonical hash that
@@ -101,8 +101,14 @@ type config = {
   units : int;  (** grantable unit groups exposed to actions, 1–4 *)
   diff : bool;  (** run the other backend in lockstep *)
   warm : bool;
-      (** start from boot + {!bringup} instead of raw boot. From raw
-          boot every interesting state sits behind the same
+      (** start from boot + the bring-up scenario instead of raw boot.
+          Bring-up: enclave 0 provisioned (memory group 0), fully
+          page-tabled, one data page, thread 0 loaded, initialized;
+          enclave 1 created and still loading; memory group 1 cleaned
+          to [Available]. Every bring-up action must be accepted —
+          {!explore} and {!replay} raise [Invalid_argument] if the
+          monitor rejects one (that would silently skew every path).
+          From raw boot every interesting state sits behind the same
           block/clean/grant/map ceremony, so a small depth bound only
           ever re-explores bring-up; the warm start spends the depth
           budget on the dense region instead. [--cold] for the
@@ -117,14 +123,6 @@ type config = {
 val default_config : config
 (** Sanctum, depth 4, 1 core, 2 unit groups, no diff, warm, no fault,
     [max_states] 200_000, null sink. *)
-
-val bringup : action list
-(** The canonical warm-start scenario: enclave 0 provisioned (memory
-    group 0), fully page-tabled, one data page, thread 0 loaded,
-    initialized; enclave 1 created and still loading; memory group 1
-    cleaned to [Available]. Every action must be accepted — {!explore}
-    and {!replay} raise [Invalid_argument] if the monitor rejects one
-    (that would silently skew every path). *)
 
 type finding_kind =
   | K_catalog of string * backend
@@ -177,7 +175,7 @@ type replay_step = {
 val replay :
   config -> action list -> replay_step list * Report.violation list
 (** Execute one action sequence from the configuration's initial state
-    (the {!bringup} prefix is applied first when [warm], and is not
+    (the bring-up prefix is applied first when [warm], and is not
     part of the reported steps) and return per-step verdicts plus the
     full catalog report on the final state (primary backend). *)
 

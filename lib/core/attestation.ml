@@ -42,7 +42,8 @@ let signing_enclave_serve sm ~es_eid ~requester =
 
 (* The serve call is split: accept first (so the requester can send),
    then the actual service round. [signing_enclave_respond] performs the
-   read-sign-reply half. *)
+   read-sign-reply half; the requester's measurement comes from the
+   monitor's mailbox tag, never from the message. *)
 let signing_enclave_respond sm ~es_eid ~requester =
   let caller = Sm.Enclave_caller es_eid in
   let* msg, requester_measurement =

@@ -21,8 +21,6 @@ let order =
     (Bignum.shift_left Bignum.one 252)
     (Bignum.of_decimal "27742317777372353535851937790883648493")
 
-let cofactor = 8
-
 let d =
   (* -121665/121666 mod p *)
   Field.mul

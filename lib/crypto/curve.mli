@@ -14,8 +14,6 @@ val order : Bignum.t
 (** The prime order L = 2^252 + 27742317777372353535851937790883648493
     of the base-point subgroup. *)
 
-val cofactor : int
-
 val identity : point
 val base : point
 

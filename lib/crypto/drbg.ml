@@ -3,8 +3,6 @@ type t = { mutable v : string; mutable counter : int64 }
 let create ~seed =
   { v = Sha3.sha3_256 ("sanctorum-drbg-init" ^ seed); counter = 0L }
 
-let reseed t entropy = t.v <- Sha3.sha3_256 ("sanctorum-drbg-reseed" ^ t.v ^ entropy)
-
 let random_bytes t n =
   if n < 0 then invalid_arg "Drbg.random_bytes: negative length";
   let buf = Buffer.create n in

@@ -10,9 +10,6 @@ type t
 val create : seed:string -> t
 (** Instantiate from seed material of any length. *)
 
-val reseed : t -> string -> unit
-(** Mix additional entropy into the state. *)
-
 val random_bytes : t -> int -> string
 (** [random_bytes t n] produces [n] fresh pseudorandom bytes and
     ratchets the internal state forward (backtracking resistance). *)

@@ -11,9 +11,6 @@ type t
 val init_sha3_256 : unit -> t
 val init_sha3_512 : unit -> t
 
-val init_shake128 : unit -> t
-val init_shake256 : unit -> t
-
 val absorb : t -> string -> unit
 (** [absorb t data] feeds [data] into the sponge. *)
 

@@ -13,6 +13,3 @@ val create :
     {!Platform.sm_memory_bytes} of memory for the monitor. Raises
     [Invalid_argument] if memory size is not divisible into
     [region_count] page-aligned regions. *)
-
-val region_of : region_bytes:int -> int -> int
-(** [region_of ~region_bytes paddr] is the DRAM region index. *)

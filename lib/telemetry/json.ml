@@ -27,10 +27,13 @@ let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f when not (Float.is_finite f) -> Buffer.add_string buf "null"
   | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      (* the shorter of 15 and 17 significant digits that still reads
+         back as [f]: records show 0.1, not 0.10000000000000001 *)
+      let short = Printf.sprintf "%.15g" f in
+      Buffer.add_string buf
+        (if float_of_string short = f then short else Printf.sprintf "%.17g" f)
   | String s -> escape_to buf s
   | List l ->
       Buffer.add_char buf '[';

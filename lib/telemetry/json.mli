@@ -13,7 +13,9 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (single-line) rendering. *)
+(** Compact (single-line) rendering. A non-finite [Float] renders as
+    [null] (JSON has no NaN or infinity); a finite one with the fewest
+    digits, 15 or 17, that parse back to the same float. *)
 
 val to_buffer : Buffer.t -> t -> unit
 

@@ -16,8 +16,6 @@ val set_u64_le : Bytes.t -> int -> int64 -> unit
 
 val get_u32_le : string -> int -> int32
 
-val set_u32_le : Bytes.t -> int -> int32 -> unit
-
 val of_int64_le : int64 -> string
 (** 8-byte little-endian rendering. *)
 

@@ -372,7 +372,6 @@ let healthy t =
     (fun (c : Hw.Machine.core) -> not c.Hw.Machine.quarantined)
     (Hw.Machine.cores t.tb.Testbed.machine)
 
-let rounds_run t = t.rounds
 let latency_histogram t = t.hist
 
 let finish t =

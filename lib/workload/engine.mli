@@ -123,8 +123,6 @@ val inflight : t -> int list
 val healthy : t -> bool
 (** No core of the shard's machine is quarantined. *)
 
-val rounds_run : t -> int
-
 val finish : t -> report
 (** Drain the scheduler, reclaim every remaining enclave (accounting
     in-flight mailbox messages first), run the final analysis passes,

@@ -284,6 +284,34 @@ let test_audit_rejections () =
   | l -> Alcotest.failf "expected one rejected entry, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
+(* Json printing: every float a record can hold must print as JSON its
+   own parser reads back. *)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      match Tel.Json.(parse (to_string (Obj [ ("x", Float f) ]))) with
+      | Ok j ->
+          check_bool "non-finite reads back as null" true
+            (Tel.Json.member "x" j = Some Tel.Json.Null)
+      | Error m -> Alcotest.failf "%h printed as invalid JSON: %s" f m)
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string) "shortest round-trip digits" "[0.1,1.5,3]"
+    (Tel.Json.to_string (List [ Float 0.1; Float 1.5; Float 3. ]))
+
+let qcheck_json_float_roundtrip =
+  QCheck2.Test.make ~name:"json: finite floats round-trip" ~count:500
+    QCheck2.Gen.(
+      oneof
+        [ map Int64.float_of_bits int64; map (fun n -> Float.of_int n /. 100.) int ])
+    (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      match Tel.Json.parse (Tel.Json.to_string (Tel.Json.Float f)) with
+      | Ok (Tel.Json.Float g) -> g = f
+      | Ok (Tel.Json.Int i) -> float_of_int i = f
+      | Ok _ | Error _ -> false)
+
+(* ------------------------------------------------------------------ *)
 (* The null sink records nothing and registers nothing. *)
 
 let test_null_sink () =
@@ -312,4 +340,7 @@ let suite =
       Alcotest.test_case "audit: rejections carry their reason" `Quick
         test_audit_rejections;
       Alcotest.test_case "sink: null by default" `Quick test_null_sink;
+      Alcotest.test_case "json: non-finite floats print as null" `Quick
+        test_json_non_finite;
+      QCheck_alcotest.to_alcotest qcheck_json_float_roundtrip;
     ] )
