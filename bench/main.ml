@@ -923,13 +923,13 @@ let report_workload () =
 (* ------------------------------------------------------------------ *)
 (* The attestation fast path: the throughput-grade crypto tier against
    its retained reference implementations, the measurement cache hot vs
-   cold, the batch attestation service, and the churn mix — whose 34.13
-   ops/s on the pre-optimization tier (BENCH_PR5.json) is the pinned
-   baseline it is printed against.
+   cold, the batch attestation service, and the churn mix, printed as
+   its live ops/s and measurement-cache hits at this run's shape.
 
    SANCTORUM_ATTEST_{CLIENTS,BATCH} size the service scenario;
-   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota; the churn
-   run takes the workload knobs; SANCTORUM_BENCH_BACKEND picks the
+   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota (each
+   micro-op also runs at least 20 times, however small the quota); the
+   churn run takes the workload knobs; SANCTORUM_BENCH_BACKEND picks the
    platform. Gates: verify >= 10x the reference, the measurement cache
    hits (micro-op and churn), and every scenario clean (no findings,
    full reclamation, every verdict in place). *)
@@ -943,11 +943,17 @@ let report_attest () =
   let backend = bench_backend () in
   (* -- crypto micro-ops, wall-clock against the retained references -- *)
   let time_ns f =
+    (* warm: caches, and the window table a key builds on its second
+       verification — left to the timed loop, that one-off build is
+       spread over however many calls fit in [min_s] *)
     ignore (f ());
-    (* warm: tables, caches *)
+    ignore (f ());
     let t0 = Unix.gettimeofday () in
     let n = ref 0 in
-    while Unix.gettimeofday () -. t0 < min_s do
+    (* At least 20 calls: at a small quota the ~9 ms reference verify
+       would otherwise be averaged over a handful of calls, and the
+       10x gate over their noise. *)
+    while !n < 20 || Unix.gettimeofday () -. t0 < min_s do
       ignore (f ());
       incr n
     done;
@@ -1036,15 +1042,11 @@ let report_attest () =
   in
   let honest_clean, honest = service "honest" 0 in
   let tampered_clean, tampered = service "tampered" 8 in
-  (* -- the churn mix against its pinned pre-optimization baseline -- *)
-  let baseline = 34.13 in
+  (* -- the churn mix: enclave create/measure/delete through the cache -- *)
   let churn_cfg = { (engine_config W.Churn) with W.backend } in
-  Printf.printf "\n== attest: churn mix vs BENCH_PR5 baseline ==\n";
+  Printf.printf "\n== attest: churn mix ==\n";
   let churn = W.run churn_cfg in
-  Printf.printf "  %-36s %12.2f ops/s (pinned, pre-optimization)\n"
-    "baseline (BENCH_PR5 churn)" baseline;
-  Printf.printf "  %-36s %12.2f ops/s\n" "churn now" churn.W.rp_ops_per_sec;
-  Printf.printf "  %-36s %12.2fx\n" "speedup" (churn.W.rp_ops_per_sec /. baseline);
+  Printf.printf "  %-36s %12.2f ops/s\n" "churn" churn.W.rp_ops_per_sec;
   Printf.printf "  %-36s %9d hits %9d misses\n" "measurement cache"
     churn.W.rp_meas_cache_hits churn.W.rp_meas_cache_misses;
   emit ~bench:"attest"
@@ -1056,7 +1058,6 @@ let report_attest () =
          ("batch", J.Int batch);
          ("min_s", J.Float min_s);
          ("batch_n", J.Int batch_n);
-         ("churn_baseline_ops_per_sec", J.Float baseline);
        ]
       @ engine_params churn_cfg)
     ~rows:

@@ -49,6 +49,11 @@ let clear_entry t ~index =
   if t.(index).locked then invalid_arg "Pmp.clear_entry: entry is locked";
   t.(index).active <- false
 
+let entry t ~index =
+  if index < 0 || index >= Array.length t then
+    invalid_arg "Pmp.entry: index out of range";
+  t.(index)
+
 let permits e access =
   match (access : Trap.access) with
   | Trap.Read -> e.r

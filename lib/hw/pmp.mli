@@ -8,6 +8,18 @@
 
 type t
 
+type entry = private {
+  mutable active : bool;
+  mutable lo : int;
+  mutable hi : int;
+  mutable r : bool;
+  mutable w : bool;
+  mutable x : bool;
+  mutable locked : bool;
+}
+(** One entry's registers, readable but not writable from outside: the
+    only way to change an entry is {!set_entry} / {!clear_entry}. *)
+
 type privilege = U | S | M
 
 val entry_count : int
@@ -37,6 +49,10 @@ val set_entry :
     [Invalid_argument] when reprogramming a locked entry. *)
 
 val clear_entry : t -> index:int -> unit
+
+val entry : t -> index:int -> entry
+(** Entry [index] as currently programmed. A cleared entry keeps its
+    last range and permissions with [active = false]. *)
 
 val check : t -> privilege:privilege -> access:Trap.access -> paddr:int -> bool
 

@@ -30,22 +30,19 @@ let create machine =
       end
       else overflow := true
     in
-    (* One pass over the owner map classifies every range: another
-       enclave's memory is a deny, the incoming domain's own memory an
-       allow. Only live ownership matters, so the walk costs the same
-       however many enclaves have come and gone — a cumulative
-       per-domain list here once made long churn runs quadratic. *)
-    let denies = ref [] and allows = ref [] in
+    let enclave d = d <> Hw.Trap.domain_sm && d <> Hw.Trap.domain_untrusted in
+    (* Two passes over the owner map's runs: O(live ranges) each,
+       however large memory is and however many enclaves have come and
+       gone (a cumulative per-domain list here once made long churn runs
+       quadratic). Security-critical entries first: every other
+       enclave's ranges are denied, in ascending order. If the entry
+       budget overflows, dropped entries must be denies of the
+       lowest-priority kind, never silent allows. *)
     Owner_map.iter_ranges owners (fun ~lo ~hi ~domain:d ->
-        if d <> Hw.Trap.domain_sm && d <> Hw.Trap.domain_untrusted then
-          if d = domain then allows := (lo, hi) :: !allows
-          else denies := (lo, hi) :: !denies);
-    (* Security-critical entries first: every other enclave's ranges
-       are denied. If the entry budget overflows, dropped entries must
-       be denies of the lowest-priority kind, never silent allows. *)
-    List.iter (fun (lo, hi) -> add ~lo ~hi ~allow:false) (List.rev !denies);
+        if enclave d && d <> domain then add ~lo ~hi ~allow:false);
     (* Then the incoming domain's own ranges. *)
-    List.iter (fun (lo, hi) -> add ~lo ~hi ~allow:true) (List.rev !allows);
+    Owner_map.iter_ranges owners (fun ~lo ~hi ~domain:d ->
+        if enclave d && d = domain then add ~lo ~hi ~allow:true);
     (* Lowest priority: OS-shared memory stays reachable — but only
        when every deny fitted. On overflow the core fails closed: with
        no background entry, unmatched U/S accesses are denied, so
